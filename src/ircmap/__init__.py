@@ -52,7 +52,6 @@ from ircmap.wikidata import (
     TransportError,
     WikidataClient,
     build_sparql_query,
-    label_to_iso2,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +93,6 @@ __all__ = [
     "default_data_dir",
     "filter_by_fos",
     "filter_coauthored",
-    "label_to_iso2",
     "match_step1",
     "normalize_affiliation",
     "parse_records",

@@ -20,12 +20,12 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from ircmap import __version__
 from ircmap.gazetteer import build_gazetteer, default_data_dir
 from ircmap.ingest import Format, IngestError, parse_records
-from ircmap.metrics import collapse_to_papers, compute_irc
+from ircmap.metrics import ConsistencyError, collapse_to_papers, compute_irc
 from ircmap.prep import DedupIndex, PrepStats, compute_fos_filter, dedup_overlap, filter_by_fos, filter_coauthored
 from ircmap.reports import write_breakdown, write_irc_stats, write_prep_report
 from ircmap.resolver import Category, Resolution, resolve_corpus
@@ -130,11 +130,15 @@ def _require_input(path_str: str) -> Path:
     return path
 
 
+def _warn_skipped(path: Path, reader) -> None:
+    if reader.report.rows_skipped:
+        log.warning("%s: skipped %d malformed or duplicate rows", path, reader.report.rows_skipped)
+
+
 def _records_list(path: Path, fmt: str) -> list:
     reader = parse_records(path, Format(fmt))
     records = list(reader)
-    if reader.report.rows_skipped:
-        log.warning("%s: skipped %d malformed rows", path, reader.report.rows_skipped)
+    _warn_skipped(path, reader)
     return records
 
 
@@ -234,15 +238,7 @@ def cmd_resolve(config: RunConfig) -> int:
         client = _build_client(config, gazetteer)
 
         reader = parse_records(in_path, Format(config.format))
-        raw_by_mention: dict[tuple[str, int], str] = {}
-
-        def records_with_raw_capture():
-            for record in reader:
-                for mention in record.mentions:
-                    raw_by_mention[(mention.paper_id, mention.author_index)] = mention.raw
-                yield record
-
-        run = resolve_corpus(records_with_raw_capture(), gazetteer, client, jobs=config.jobs)
+        run = resolve_corpus(reader, gazetteer, client, jobs=config.jobs)
         enriched_path = out.out_dir / "enriched.jsonl"
         out.track(enriched_path)
         csv_handle = None
@@ -258,22 +254,15 @@ def cmd_resolve(config: RunConfig) -> int:
         try:
             with open(enriched_path, "w", encoding="utf-8") as handle:
                 for resolution in run:
-                    raw = raw_by_mention.pop((resolution.paper_id, resolution.author_index), "")
-                    obj = {
-                        "paper_id": resolution.paper_id,
-                        "author_index": resolution.author_index,
-                        "raw": raw,
-                        "category": resolution.category.value,
-                        "iso2": resolution.iso2,
-                        "evidence": resolution.evidence,
-                        "ambiguous": resolution.ambiguous,
-                    }
+                    obj = {field: getattr(resolution, field) for field in ENRICHED_FIELDS}
+                    obj["category"] = resolution.category.value
                     handle.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
                     if csv_writer is not None:
                         csv_writer.writerow([obj[field] for field in ENRICHED_FIELDS])
         finally:
             if csv_handle is not None:
                 csv_handle.close()
+        _warn_skipped(in_path, reader)
         out.track(*write_breakdown(out.out_dir, run.breakdown))
         out.write_manifest(
             config,
@@ -290,46 +279,35 @@ def cmd_resolve(config: RunConfig) -> int:
     return 0
 
 
-def _read_enriched(path: Path) -> list[Resolution]:
-    resolutions = []
+def _read_enriched(path: Path) -> Iterator[Resolution]:
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                resolutions.append(
-                    Resolution(
-                        paper_id=obj["paper_id"],
-                        author_index=int(obj["author_index"]),
-                        category=Category(obj["category"]),
-                        iso2=obj.get("iso2"),
-                        evidence=obj.get("evidence", ""),
-                        ambiguous=bool(obj.get("ambiguous", False)),
-                    )
+                resolution = Resolution(
+                    paper_id=obj["paper_id"],
+                    author_index=int(obj["author_index"]),
+                    raw=obj.get("raw", ""),
+                    category=Category(obj["category"]),
+                    iso2=obj.get("iso2"),
+                    evidence=obj.get("evidence", ""),
+                    ambiguous=bool(obj.get("ambiguous", False)),
                 )
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 raise CliError(f"{path}:{lineno}: bad enriched row: {exc}") from exc
-    return resolutions
+            yield resolution
 
 
 def cmd_metrics(config: RunConfig) -> int:
     enriched_path = _require_input(config.input)
     out = OutputSet(Path(config.output))
     try:
-        resolutions = _read_enriched(enriched_path)
+        records = None
         if config.records:
             records = _records_list(_require_input(config.records), config.records_format)
-        else:
-            # Without the source corpus, paper identity and order come from
-            # the enriched file itself; years are unknown.
-            from ircmap.ingest import BibRecord
-
-            seen: dict[str, None] = {}
-            for resolution in resolutions:
-                seen.setdefault(resolution.paper_id, None)
-            records = [BibRecord(paper_id=pid) for pid in seen]
-        papers = collapse_to_papers(resolutions, records)
+        papers = collapse_to_papers(_read_enriched(enriched_path), records)
         stats = compute_irc(papers)
         out.track(*write_irc_stats(out.out_dir, stats))
         inputs = [enriched_path] + ([Path(config.records)] if config.records else [])
@@ -461,7 +439,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     config = _config_from_args(args)
     try:
         return COMMANDS[args.subcommand](config)
-    except (CliError, IngestError) as exc:
+    except (CliError, ConsistencyError, IngestError) as exc:
         print(f"ircmap: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # unexpected: still fail cleanly with a message

@@ -4,13 +4,20 @@ Three input formats are supported:
 
 * ``mag-tsv``  -- headerless, tab-separated, one row per (paper, author):
   ``paper_id, author_index, org, title, year, fos`` where ``fos`` is
-  ``|``-separated.  Rows belonging to one paper must be contiguous.
+  ``|``-separated.
 * ``csv``      -- header row with at least ``paper_id, author_index,
   affiliation``; optional ``title, year, fos, doi``.  Also one row per
-  (paper, author), grouped by contiguous ``paper_id``.
+  (paper, author).
 * ``jsonl``    -- one record object per line:
   ``{"paper_id", "title", "year", "fos": [...],
   "authors": [{"affiliation": ...}, ...]}`` with optional ``"doi"``.
+
+The two row formats group contiguous rows with one ``paper_id`` into a
+record; a repeated ``author_index`` within that record is skipped.
+
+Each paper id yields one record, the first: every later record with that id
+is skipped in all three formats, including rows of a paper that reappear
+after another paper's rows.  Skipped rows are counted like malformed ones.
 
 Malformed rows are skipped and counted, never fatal; an unreadable stream or
 unknown format is fatal.
@@ -18,14 +25,17 @@ unknown format is fatal.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterable, Iterator, Union
 
 __all__ = [
     "AffiliationMention",
@@ -192,8 +202,9 @@ def parse_records(
 ) -> RecordReader:
     """Stream records from ``source`` in the given format.
 
-    Yields records in input order.  Rows that violate the format's schema
-    (missing paper id, unparsable author index, wrong column count, bad JSON)
+    Yields records in input order, the first one for each paper id.  Rows
+    that violate the format's schema (missing paper id, unparsable author
+    index, wrong column count, bad JSON) or repeat a paper id already yielded
     are skipped and counted in the report.
     """
     try:
@@ -206,14 +217,22 @@ def parse_records(
     except OSError as exc:
         raise IngestError(f"cannot read input: {exc}") from exc
     if fmt is Format.GENERIC_JSONL:
-        rows = _iter_jsonl(stream, report)
+        records = _iter_jsonl(stream, report)
     elif fmt is Format.MAG_TSV:
-        rows = _iter_rowwise(stream, report, _mag_row, Source.MAG)
+        lines = (line.rstrip("\n").rstrip("\r") for line in stream)
+        rows = (_mag_row(line.split("\t")) for line in lines if line)
+        records = _iter_rowwise(rows, report, Source.MAG)
     elif fmt is Format.GENERIC_CSV:
-        rows = _iter_csv(stream, report)
+        reader = csv.DictReader(stream)
+        if reader.fieldnames is None:
+            raise IngestError("csv input has no header row")
+        missing = {"paper_id", "author_index", "affiliation"} - set(reader.fieldnames)
+        if missing:
+            raise IngestError(f"csv header missing columns: {sorted(missing)}")
+        records = _iter_rowwise(map(_csv_row, reader), report, Source.GENERIC)
     else:  # pragma: no cover - Format() already rejects unknown names
         raise IngestError(f"unknown format: {fmt}")
-    return RecordReader(rows, report)
+    return RecordReader(_first_per_id(records, report), report)
 
 
 def _open_text(source: Union[str, Path, IO[str], IO[bytes]]) -> IO[str]:
@@ -229,7 +248,7 @@ def _open_text(source: Union[str, Path, IO[str], IO[bytes]]) -> IO[str]:
     return source  # duck-typed text stream
 
 
-def _iter_jsonl(stream: IO[str], report: ParseReport) -> Iterator[BibRecord]:
+def _iter_jsonl(stream: IO[str], report: ParseReport) -> Iterator[tuple[BibRecord, int]]:
     for line in stream:
         if not line.strip():
             continue
@@ -255,7 +274,7 @@ def _iter_jsonl(stream: IO[str], report: ParseReport) -> Iterator[BibRecord]:
             for i, a in enumerate(authors)
         )
         doi = obj.get("doi")
-        yield BibRecord(
+        record = BibRecord(
             paper_id=paper_id,
             source=Source.GENERIC,
             title=str(obj.get("title") or ""),
@@ -264,7 +283,7 @@ def _iter_jsonl(stream: IO[str], report: ParseReport) -> Iterator[BibRecord]:
             mentions=mentions,
             doi=str(doi) if doi else None,
         )
-        report.records_yielded += 1
+        yield record, 1
 
 
 #: One mention-level row: (paper_id, author_index, affiliation, title, year, fos, doi)
@@ -294,130 +313,76 @@ def _mag_row(fields: list[str]) -> _Row | None:
     )
 
 
+def _csv_row(record: dict) -> _Row | None:
+    paper_id = (record.get("paper_id") or "").strip()
+    if not paper_id:
+        return None
+    try:
+        author_index = int(record.get("author_index") or "")
+    except ValueError:
+        return None
+    if author_index < 0:
+        return None
+    year_raw = (record.get("year") or "").strip()
+    doi = (record.get("doi") or "").strip() or None
+    return (
+        paper_id,
+        author_index,
+        record.get("affiliation") or "",
+        record.get("title") or "",
+        _parse_year(year_raw) if year_raw else None,
+        _parse_fos(record.get("fos") or ""),
+        doi,
+    )
+
+
+def _valid_rows(rows: Iterable[_Row | None], report: ParseReport) -> Iterator[_Row]:
+    for row in rows:
+        report.rows_read += 1
+        if row is None:
+            report.rows_skipped += 1
+        else:
+            yield row
+
+
 def _iter_rowwise(
-    stream: IO[str],
+    rows: Iterable[_Row | None],
     report: ParseReport,
-    row_parser,
     source: Source,
-) -> Iterator[BibRecord]:
-    """Group contiguous mention-level rows by paper id."""
-    current: list[_Row] = []
+) -> Iterator[tuple[BibRecord, int]]:
+    """Group contiguous mention-level rows by paper id; ``None`` is a bad row.
 
-    def flush() -> BibRecord | None:
-        if not current:
-            return None
-        first = current[0]
-        seen: set[int] = set()
-        mentions = []
-        for row in current:
-            if row[1] in seen:
-                report.rows_skipped += 1
-                continue
-            seen.add(row[1])
-            mentions.append(AffiliationMention(first[0], row[1], row[2]))
+    A group's first row supplies the paper's title, year, FOS and DOI.  The
+    first row of each author index gives its mention; later rows with that
+    index are skipped.  Yields each record with its number of kept rows.
+    """
+    for paper_id, group in groupby(_valid_rows(rows, report), key=itemgetter(0)):
+        group = list(group)
+        mentions: dict[int, AffiliationMention] = {}
+        for row in group:
+            if row[1] not in mentions:
+                mentions[row[1]] = AffiliationMention(paper_id, row[1], row[2])
+        report.rows_skipped += len(group) - len(mentions)
+        _, _, _, title, year, fos_terms, doi = group[0]
         record = BibRecord(
-            paper_id=first[0],
+            paper_id=paper_id,
             source=source,
-            title=first[3],
-            year=first[4],
-            fos_terms=first[5],
-            mentions=tuple(mentions),
-            doi=first[6],
+            title=title,
+            year=year,
+            fos_terms=fos_terms,
+            mentions=tuple(mentions.values()),
+            doi=doi,
         )
-        current.clear()
-        report.records_yielded += 1
-        return record
+        yield record, len(mentions)
 
-    for line in stream:
-        line = line.rstrip("\n").rstrip("\r")
-        if not line:
+
+def _first_per_id(records: Iterator[tuple[BibRecord, int]], report: ParseReport) -> Iterator[BibRecord]:
+    """Yield the first record of each paper id; count later ones' rows as skipped."""
+    seen: set[str] = set()
+    for record, rows in records:
+        if record.paper_id in seen:
+            report.rows_skipped += rows
             continue
-        report.rows_read += 1
-        row = row_parser(line.split("\t"))
-        if row is None:
-            report.rows_skipped += 1
-            continue
-        if current and row[0] != current[0][0]:
-            record = flush()
-            if record is not None:
-                yield record
-        current.append(row)
-    record = flush()
-    if record is not None:
+        seen.add(record.paper_id)
+        report.records_yielded += 1
         yield record
-
-
-def _iter_csv(stream: IO[str], report: ParseReport) -> Iterator[BibRecord]:
-    import csv
-
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise IngestError("csv input has no header row")
-    required = {"paper_id", "author_index", "affiliation"}
-    missing = required - set(reader.fieldnames)
-    if missing:
-        raise IngestError(f"csv header missing columns: {sorted(missing)}")
-
-    def csv_row(record: dict) -> _Row | None:
-        paper_id = (record.get("paper_id") or "").strip()
-        if not paper_id:
-            return None
-        try:
-            author_index = int(record.get("author_index") or "")
-        except ValueError:
-            return None
-        if author_index < 0:
-            return None
-        year_raw = (record.get("year") or "").strip()
-        doi = (record.get("doi") or "").strip() or None
-        return (
-            paper_id,
-            author_index,
-            record.get("affiliation") or "",
-            record.get("title") or "",
-            _parse_year(year_raw) if year_raw else None,
-            _parse_fos(record.get("fos") or ""),
-            doi,
-        )
-
-    current: list[_Row] = []
-
-    def flush() -> BibRecord | None:
-        if not current:
-            return None
-        first = current[0]
-        seen: set[int] = set()
-        mentions = []
-        for row in current:
-            if row[1] in seen:
-                report.rows_skipped += 1
-                continue
-            seen.add(row[1])
-            mentions.append(AffiliationMention(first[0], row[1], row[2]))
-        record = BibRecord(
-            paper_id=first[0],
-            source=Source.GENERIC,
-            title=first[3],
-            year=first[4],
-            fos_terms=first[5],
-            mentions=tuple(mentions),
-            doi=first[6],
-        )
-        current.clear()
-        report.records_yielded += 1
-        return record
-
-    for record in reader:
-        report.rows_read += 1
-        row = csv_row(record)
-        if row is None:
-            report.rows_skipped += 1
-            continue
-        if current and row[0] != current[0][0]:
-            out = flush()
-            if out is not None:
-                yield out
-        current.append(row)
-    out = flush()
-    if out is not None:
-        yield out

@@ -40,40 +40,43 @@ class PaperCountrySet:
 
 def collapse_to_papers(
     resolutions: Iterable[Resolution],
-    records: Iterable[BibRecord],
+    records: Optional[Iterable[BibRecord]] = None,
 ) -> list[PaperCountrySet]:
     """Group mention resolutions into one country set per paper.
 
     ``unresolved_mentions`` counts the paper's null-like and unidentified
-    mentions.  A resolution naming a paper that is not in ``records`` is a
-    fatal consistency error.
+    mentions.  With ``records``, papers come in record order with the
+    records' years, and a resolution naming a paper that is not in
+    ``records`` is a fatal consistency error.  Without them, papers come in
+    order of first appearance among the resolutions and years are unknown.
     """
-    by_paper: dict[str, tuple[set[str], int]] = {}
-    order: list[BibRecord] = []
-    for record in records:
+    years: dict[str, Optional[int]] = {}
+    by_paper: dict[str, list] = {}  # paper id -> [country set, unresolved count]
+    for record in records or ():
         if record.paper_id in by_paper:
             raise ConsistencyError(f"duplicate paper id {record.paper_id!r} in records")
-        order.append(record)
-        by_paper[record.paper_id] = (set(), 0)
+        years[record.paper_id] = record.year
+        by_paper[record.paper_id] = [set(), 0]
     for resolution in resolutions:
-        if resolution.paper_id not in by_paper:
-            raise ConsistencyError(
-                f"resolution references unknown paper {resolution.paper_id!r}"
-            )
-        countries, unresolved = by_paper[resolution.paper_id]
+        paper = by_paper.get(resolution.paper_id)
+        if paper is None:
+            if records is not None:
+                raise ConsistencyError(
+                    f"resolution references unknown paper {resolution.paper_id!r}"
+                )
+            paper = by_paper[resolution.paper_id] = [set(), 0]
         if resolution.iso2 is not None:
-            countries.add(resolution.iso2)
+            paper[0].add(resolution.iso2)
         else:
-            unresolved += 1
-        by_paper[resolution.paper_id] = (countries, unresolved)
+            paper[1] += 1
     return [
         PaperCountrySet(
-            paper_id=record.paper_id,
-            year=record.year,
-            countries=frozenset(by_paper[record.paper_id][0]),
-            unresolved_mentions=by_paper[record.paper_id][1],
+            paper_id=paper_id,
+            year=years.get(paper_id),
+            countries=frozenset(countries),
+            unresolved_mentions=unresolved,
         )
-        for record in order
+        for paper_id, (countries, unresolved) in by_paper.items()
     ]
 
 

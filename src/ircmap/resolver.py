@@ -87,14 +87,17 @@ TOTAL_LABEL = "Affiliations"
 
 @dataclass(frozen=True)
 class Resolution:
-    """Outcome of resolving one mention.
+    """Outcome of resolving one mention; one row of the enriched output.
 
+    ``raw`` is the mention's own affiliation string, byte-for-byte, even when
+    another raw string with the same cleaned form supplied the outcome.
     ``iso2`` is present exactly for the three identified categories, and
     ``evidence`` then names the matched alias, part, or queried fragment.
     """
 
     paper_id: str
     author_index: int
+    raw: str
     category: Category
     iso2: Optional[str]
     evidence: str
@@ -258,7 +261,7 @@ def resolve(
     """
     n = normalize_affiliation(m.raw)
     category, iso2, evidence, ambiguous = _resolve_cleaned(n, m.raw, g, client)
-    return Resolution(m.paper_id, m.author_index, category, iso2, evidence, ambiguous)
+    return Resolution(m.paper_id, m.author_index, m.raw, category, iso2, evidence, ambiguous)
 
 
 @dataclass
@@ -348,7 +351,7 @@ def resolve_corpus(
                 for m, n in zip(chunk, normalized):
                     category, iso2, evidence, ambiguous = memo[n.cleaned]
                     breakdown.add(category)
-                    yield Resolution(m.paper_id, m.author_index, category, iso2, evidence, ambiguous)
+                    yield Resolution(m.paper_id, m.author_index, m.raw, category, iso2, evidence, ambiguous)
         finally:
             if pool is not None:
                 pool.shutdown(wait=False)

@@ -45,7 +45,6 @@ __all__ = [
     "TransportResponse",
     "WikidataClient",
     "build_sparql_query",
-    "label_to_iso2",
 ]
 
 logger = logging.getLogger(__name__)
@@ -250,11 +249,6 @@ class LabelMap:
                     raise ValueError(f"{path}:{lineno}: unknown country code {iso2!r}")
                 mapping[label] = iso2
         return cls(mapping)
-
-
-def label_to_iso2(label: str, label_map: LabelMap) -> Optional[str]:
-    """ISO code for a country label; None (and a report) when unmapped."""
-    return label_map.get(label)
 
 
 class RateLimiter:

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import csv
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ircmap.cli import main
 from ircmap.wikidata import CacheEntry, CacheStatus, CacheStore
-
 
 
 def _write_jsonl(path: Path, rows) -> Path:
@@ -192,6 +195,64 @@ class TestResolve:
         for name in ("enriched.jsonl", "breakdown.json", "breakdown.csv", "breakdown.txt"):
             assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
 
+    def test_duplicate_paper_id_keeps_first_record(self, tmp_path, warm_cache, caplog):
+        corpus = _write_jsonl(
+            tmp_path / "c.jsonl",
+            [
+                _paper("p1", ["Paris, France", "Oslo, Norway"], year=2001),
+                _paper("p2", ["Rome, Italy", "Tokyo, Japan"], year=2002),
+                _paper("p1", ["Lima, Peru", "Quito, Ecuador"], year=2003),
+            ],
+        )
+        out = tmp_path / "out"
+        assert main(["resolve", "--input", str(corpus), "--output", str(out),
+                     "--cache", str(warm_cache), "--offline"]) == 0
+        rows = [json.loads(line) for line in (out / "enriched.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [(r["paper_id"], r["author_index"], r["raw"]) for r in rows] == [
+            ("p1", 0, "Paris, France"),
+            ("p1", 1, "Oslo, Norway"),
+            ("p2", 0, "Rome, Italy"),
+            ("p2", 1, "Tokyo, Japan"),
+        ]
+        assert "skipped 1 malformed or duplicate rows" in caplog.text
+
+        papers = []
+        for args in ([], ["--records", str(corpus)]):
+            stats_out = tmp_path / f"stats{len(args)}"
+            assert main(["metrics", "--input", str(out / "enriched.jsonl"), "--output", str(stats_out),
+                         *args]) == 0
+            papers.append(json.loads((stats_out / "irc_stats.json").read_text(encoding="utf-8"))["total_papers"])
+        assert papers == [2, 2]
+
+
+#: Raw strings that share a cleaned form with their case and punctuation variants.
+_BASE_RAWS = ["Paris, France", "McGill University", "NA", "Atlanta, Georgia", "zz nowhere, Lab 7"]
+_RAW_VARIANTS = st.builds(
+    lambda base, case, wrap: wrap[0] + case(base) + wrap[1],
+    st.sampled_from(_BASE_RAWS),
+    st.sampled_from([str, str.upper, str.lower, str.swapcase]),
+    st.sampled_from([("", ""), ("", "."), ("(", ")"), ("- ", ";")]),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(papers=st.lists(st.lists(_RAW_VARIANTS, min_size=1, max_size=4), min_size=1, max_size=8))
+def test_enriched_raw_is_each_mentions_own_string(papers):
+    expected = [raw for raws in papers for raw in raws]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus = _write_jsonl(tmp / "c.jsonl", [_paper(f"p{i}", raws) for i, raws in enumerate(papers)])
+        cache = tmp / "cache.jsonl"
+        cache.write_text("", encoding="utf-8")
+        for jobs in ("1", "2"):
+            out = tmp / f"jobs{jobs}"
+            assert main(["resolve", "--input", str(corpus), "--output", str(out), "--cache", str(cache),
+                         "--offline", "--emit-csv", "--jobs", jobs]) == 0
+            lines = (out / "enriched.jsonl").read_text(encoding="utf-8").splitlines()
+            assert [json.loads(line)["raw"] for line in lines] == expected
+            with open(out / "enriched.csv", newline="", encoding="utf-8") as handle:
+                assert [row["raw"] for row in csv.DictReader(handle)] == expected
+
 
 class TestMetrics:
     def _resolve_fixture(self, tmp_path, warm_cache):
@@ -229,6 +290,22 @@ class TestMetrics:
         assert stats["total_papers"] == 0
         assert stats["international"] == 0
         assert stats["irc_ratio"] is None
+
+    def test_unknown_paper_is_user_error(self, tmp_path, warm_cache, capsys, caplog):
+        corpus, enriched = self._resolve_fixture(tmp_path, warm_cache)
+        ghost = {"paper_id": "ghost", "author_index": 0, "raw": "Oslo, Norway", "category": "CountryName",
+                 "iso2": "NO", "evidence": "norway", "ambiguous": False}
+        with open(enriched, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(ghost) + "\n")
+        out = tmp_path / "stats"
+        capsys.readouterr()
+        assert main(["metrics", "--input", str(enriched), "--records", str(corpus),
+                     "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "ircmap: error: resolution references unknown paper 'ghost'" in err
+        assert "internal error" not in err
+        assert "Traceback" not in caplog.text
+        assert not (out / "irc_stats.json").exists()
 
     def test_per_year_csv_sums_to_global(self, tmp_path, warm_cache):
         corpus, enriched = self._resolve_fixture(tmp_path, warm_cache)

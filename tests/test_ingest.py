@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,29 @@ from ircmap.ingest import (
     parse_records,
     token_key,
 )
+
+
+def _render(fmt, rows):
+    """Mention rows ``(paper_id, author_index, affiliation, title, year, fos)`` as ``fmt`` input.
+
+    For JSONL, each run of rows with one paper id becomes one record.
+    """
+    if fmt == "mag-tsv":
+        return "".join("\t".join(row) + "\n" for row in rows)
+    if fmt == "jsonl":
+        lines = []
+        for paper_id, group in groupby(rows, itemgetter(0)):
+            group = list(group)
+            _, _, _, title, year, fos = group[0]
+            authors = [{"affiliation": row[2]} for row in group]
+            record = {"paper_id": paper_id, "title": title, "year": int(year), "fos": [fos], "authors": authors}
+            lines.append(json.dumps(record) + "\n")
+        return "".join(lines)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["paper_id", "author_index", "affiliation", "title", "year", "fos"])
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 class TestNormalizeAffiliation:
@@ -113,29 +139,62 @@ class TestParseRecords:
         assert record.year == 2016
         assert record.fos_terms == frozenset({"computer science", "databases"})
 
-    def test_mag_tsv_groups_contiguous_rows(self):
-        text = (
-            "1\t0\tOrg A\tPaper 1\t2000\tai\n"
-            "1\t1\tOrg B\tPaper 1\t2000\tai\n"
-            "2\t0\tOrg C\tPaper 2\t2001\tml\n"
-        )
-        reader = parse_records(io.StringIO(text), Format.MAG_TSV)
+    @pytest.mark.parametrize("fmt", ["mag-tsv", "csv"])
+    def test_row_formats_group_contiguous_rows(self, fmt):
+        rows = [
+            ("1", "0", "Org A", "Paper 1", "2000", "ai"),
+            ("1", "1", "Org B", "Paper 1", "2000", "ai"),
+            ("2", "0", "Org C", "Paper 2", "2001", "ml"),
+        ]
+        reader = parse_records(io.StringIO(_render(fmt, rows)), fmt)
         records = list(reader)
         assert [r.paper_id for r in records] == ["1", "2"]
         assert [m.raw for m in records[0].mentions] == ["Org A", "Org B"]
         assert [m.author_index for m in records[0].mentions] == [0, 1]
 
-    def test_mag_tsv_bad_rows_counted(self):
-        text = (
-            "1\t0\tOrg A\tPaper 1\t2000\tai\n"
-            "short\trow\n"
-            "1\tnot-an-int\tOrg B\tPaper 1\t2000\tai\n"
-        )
-        reader = parse_records(io.StringIO(text), Format.MAG_TSV)
+    @pytest.mark.parametrize("fmt", ["mag-tsv", "csv"])
+    def test_row_formats_count_bad_rows(self, fmt):
+        rows = [
+            ("1", "0", "Org A", "Paper 1", "2000", "ai"),
+            ("short", "row"),
+            ("1", "not-an-int", "Org B", "Paper 1", "2000", "ai"),
+        ]
+        reader = parse_records(io.StringIO(_render(fmt, rows)), fmt)
         records = list(reader)
         assert len(records) == 1
         assert len(records[0].mentions) == 1
         assert reader.report.rows_skipped == 2
+
+    @pytest.mark.parametrize("fmt", ["mag-tsv", "csv"])
+    def test_row_formats_skip_repeated_author_index(self, fmt):
+        rows = [
+            ("1", "0", "Org A", "Paper 1", "2000", "ai"),
+            ("1", "1", "Org B", "Paper 1", "2000", "ai"),
+            ("1", "0", "Org A again", "Other title", "1999", "ml"),
+        ]
+        reader = parse_records(io.StringIO(_render(fmt, rows)), fmt)
+        (record,) = list(reader)
+        assert [(m.author_index, m.raw) for m in record.mentions] == [(0, "Org A"), (1, "Org B")]
+        assert (record.title, record.year) == ("Paper 1", 2000)
+        assert reader.report.rows_skipped == 1
+        assert reader.report.records_yielded == 1
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "mag-tsv", "csv"])
+    def test_duplicate_paper_id_keeps_first_record(self, fmt):
+        rows = [
+            ("p1", "0", "Paris, France", "First", "2001", "ai"),
+            ("p2", "0", "Rome, Italy", "Second", "2002", "ai"),
+            ("p1", "1", "Lima, Peru", "Again", "2003", "ml"),
+            ("p1", "2", "Quito, Ecuador", "Again", "2003", "ml"),
+        ]
+        reader = parse_records(io.StringIO(_render(fmt, rows)), fmt)
+        records = list(reader)
+        assert [r.paper_id for r in records] == ["p1", "p2"]
+        assert [m.raw for m in records[0].mentions] == ["Paris, France"]
+        assert (records[0].title, records[0].year) == ("First", 2001)
+        assert reader.report.records_yielded == 2
+        # A JSONL record is one row; the row formats skip each mention row.
+        assert reader.report.rows_skipped == (1 if fmt == "jsonl" else 2)
 
     def test_year_out_of_range_flagged_invalid(self):
         stream = io.StringIO('{"paper_id": "p", "year": 1492, "authors": []}\n')

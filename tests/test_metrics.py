@@ -18,7 +18,7 @@ from ircmap.resolver import Category, Resolution
 def _resolution(paper_id, idx, iso2=None, category=None):
     if category is None:
         category = Category.COUNTRY_NAME if iso2 else Category.UNIDENTIFIED
-    return Resolution(paper_id, idx, category, iso2, iso2.lower() if iso2 else "", False)
+    return Resolution(paper_id, idx, "x", category, iso2, iso2.lower() if iso2 else "", False)
 
 
 def _record(paper_id, n_mentions, year=2000):
@@ -58,6 +58,18 @@ class TestCollapseToPapers:
     def test_zero_mention_record_included(self):
         papers = collapse_to_papers([], [_record("p1", 0)])
         assert papers == [_paper("p1", set(), unresolved=0)]
+
+    def test_without_records_papers_in_first_appearance_order(self):
+        resolutions = [
+            _resolution("p2", 0, "CA"),
+            _resolution("p1", 0, "NZ"),
+            _resolution("p2", 1, category=Category.NULL_LIKE),
+            _resolution("p1", 1, "FR"),
+        ]
+        assert collapse_to_papers(resolutions) == [
+            _paper("p2", {"CA"}, year=None, unresolved=1),
+            _paper("p1", {"NZ", "FR"}, year=None),
+        ]
 
     def test_unknown_paper_is_fatal(self):
         with pytest.raises(ConsistencyError):

@@ -17,7 +17,6 @@ from ircmap.wikidata import (
     TransportResponse,
     WikidataClient,
     build_sparql_query,
-    label_to_iso2,
 )
 
 from support import (
@@ -125,17 +124,17 @@ class TestCacheStore:
 
 class TestLabelMap:
     def test_canada_maps(self, label_map):
-        assert label_to_iso2("Canada", label_map) == "CA"
+        assert label_map.get("Canada") == "CA"
 
     def test_q30_label_maps_to_us(self, label_map, data_dir):
         # The shipped extras table is the authority for this label.
         lines = (data_dir / "wikidata_labels.tsv").read_text(encoding="utf-8").splitlines()
         assert any(line.startswith("United States of America\tUS") for line in lines)
-        assert label_to_iso2("United States of America", label_map) == "US"
+        assert label_map.get("United States of America") == "US"
 
     def test_unmapped_label_reported_not_dropped(self, gazetteer, data_dir):
         label_map = LabelMap.from_gazetteer(gazetteer, data_dir / "wikidata_labels.tsv")
-        assert label_to_iso2("Narnia", label_map) is None
+        assert label_map.get("Narnia") is None
         assert "Narnia" in label_map.unmapped
 
     def test_unknown_iso_code_in_extras_rejected(self, gazetteer, tmp_path):
