@@ -382,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     resolve_p.add_argument("--rate-limit", type=float, default=2.0, metavar="RPS",
                            help="max endpoint requests per second (default 2)")
     resolve_p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                           help="worker threads (output is identical for any value)")
+                           help="concurrent knowledge-graph lookups; step 1 always runs on one "
+                                "thread; output is identical for any value")
     resolve_p.add_argument("--emit-csv", action="store_true",
                            help="also write enriched.csv next to enriched.jsonl")
 

@@ -35,7 +35,7 @@ from enum import Enum
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Callable, Iterable, Iterator, Union
 
 __all__ = [
     "AffiliationMention",
@@ -205,7 +205,9 @@ def parse_records(
     Yields records in input order, the first one for each paper id.  Rows
     that violate the format's schema (missing paper id, unparsable author
     index, wrong column count, bad JSON) or repeat a paper id already yielded
-    are skipped and counted in the report.
+    are skipped and counted in the report.  A file opened from a path is
+    closed once the stream is exhausted or closed; a caller's stream, text or
+    binary, is left open.
     """
     try:
         fmt = Format(fmt)
@@ -216,23 +218,42 @@ def parse_records(
         stream = _open_text(source)
     except OSError as exc:
         raise IngestError(f"cannot read input: {exc}") from exc
+    release = None
+    if isinstance(source, (str, Path)):
+        release = stream.close
+    elif stream is not source:
+        release = stream.detach  # closing the text wrapper would close the caller's binary stream
+    try:
+        records = _first_per_id(_format_records(stream, fmt, report), report)
+    except BaseException:
+        if release is not None:
+            release()
+        raise
+    return RecordReader(records if release is None else _releasing(records, release), report)
+
+
+def _format_records(stream: IO[str], fmt: Format, report: ParseReport) -> Iterator[tuple[BibRecord, int]]:
     if fmt is Format.GENERIC_JSONL:
-        records = _iter_jsonl(stream, report)
-    elif fmt is Format.MAG_TSV:
+        return _iter_jsonl(stream, report)
+    if fmt is Format.MAG_TSV:
         lines = (line.rstrip("\n").rstrip("\r") for line in stream)
         rows = (_mag_row(line.split("\t")) for line in lines if line)
-        records = _iter_rowwise(rows, report, Source.MAG)
-    elif fmt is Format.GENERIC_CSV:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise IngestError("csv input has no header row")
-        missing = {"paper_id", "author_index", "affiliation"} - set(reader.fieldnames)
-        if missing:
-            raise IngestError(f"csv header missing columns: {sorted(missing)}")
-        records = _iter_rowwise(map(_csv_row, reader), report, Source.GENERIC)
-    else:  # pragma: no cover - Format() already rejects unknown names
-        raise IngestError(f"unknown format: {fmt}")
-    return RecordReader(_first_per_id(records, report), report)
+        return _iter_rowwise(rows, report, Source.MAG)
+    reader = csv.DictReader(stream)
+    if reader.fieldnames is None:
+        raise IngestError("csv input has no header row")
+    missing = {"paper_id", "author_index", "affiliation"} - set(reader.fieldnames)
+    if missing:
+        raise IngestError(f"csv header missing columns: {sorted(missing)}")
+    return _iter_rowwise(map(_csv_row, reader), report, Source.GENERIC)
+
+
+def _releasing(records: Iterator[BibRecord], release: Callable[[], object]) -> Iterator[BibRecord]:
+    """Yield ``records``; call ``release`` once they are exhausted or closed."""
+    try:
+        yield from records
+    finally:
+        release()
 
 
 def _open_text(source: Union[str, Path, IO[str], IO[bytes]]) -> IO[str]:

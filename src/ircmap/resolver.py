@@ -42,7 +42,7 @@ from ircmap.ingest import (
     normalize_affiliation,
     token_key,
 )
-from ircmap.wikidata import CacheStatus, WikidataClient
+from ircmap.wikidata import CacheStatus, Mode, WikidataClient
 
 __all__ = [
     "Category",
@@ -215,18 +215,16 @@ def wikidata_fragments(raw: str) -> list[str]:
     return fragments
 
 
-def _resolve_cleaned(
-    n: NormalizedAffiliation,
-    raw: str,
-    g: Gazetteer,
-    client: Optional[WikidataClient],
-) -> tuple[Category, Optional[str], str, bool]:
-    """Category, iso2, evidence, and ambiguity flag for one normalized string."""
+def _step1(n: NormalizedAffiliation, g: Gazetteer) -> Optional[tuple]:
+    """Outcome for a null-like or gazetteer-identified string, else ``None``."""
     if n.null_like:
         return (Category.NULL_LIKE, None, "", False)
     hit = match_step1(n, g)
-    if hit is not None:
-        return (hit.category, hit.iso2, hit.evidence, hit.ambiguous)
+    return None if hit is None else (hit.category, hit.iso2, hit.evidence, hit.ambiguous)
+
+
+def _step2(raw: str, client: Optional[WikidataClient]) -> tuple[Category, Optional[str], str, bool]:
+    """Knowledge-graph outcome for a string step 1 could not identify."""
     note = ""
     if client is not None:
         for fragment in wikidata_fragments(raw):
@@ -259,9 +257,8 @@ def resolve(
     mention to ``Unidentified`` (with the error noted in ``evidence``) rather
     than aborting.
     """
-    n = normalize_affiliation(m.raw)
-    category, iso2, evidence, ambiguous = _resolve_cleaned(n, m.raw, g, client)
-    return Resolution(m.paper_id, m.author_index, m.raw, category, iso2, evidence, ambiguous)
+    outcome = _step1(normalize_affiliation(m.raw), g) or _step2(m.raw, client)
+    return Resolution(m.paper_id, m.author_index, m.raw, *outcome)
 
 
 @dataclass
@@ -319,41 +316,45 @@ def resolve_corpus(
 ) -> ResolutionRun:
     """Resolve every mention of a record stream, in input order.
 
-    Identical normalized strings are resolved once and reused; with
-    ``jobs > 1`` the distinct strings of each chunk are resolved on a thread
-    pool, which changes neither the output nor its order.
+    Identical normalized strings are resolved once and reused for the whole
+    run.  Normalization and step 1 always run on the calling thread; with
+    ``jobs > 1`` and an online client, the knowledge-graph lookups for the
+    distinct step-1 misses of each chunk run on ``jobs`` pool threads.
+    Offline and client-less runs start no pool.  Neither the output nor its
+    order depends on ``jobs``.
     """
     breakdown = IdentificationBreakdown()
+    online = client is not None and client.mode is Mode.ONLINE
 
     def generate() -> Iterator[Resolution]:
         memo: dict[str, tuple] = {}
         mentions = _mentions(records)
-        pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+        pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 and online else None
+        lookup = pool.map if pool is not None else map
         try:
             while True:
                 chunk = list(islice(mentions, chunk_size))
                 if not chunk:
                     break
-                normalized = [normalize_affiliation(m.raw) for m in chunk]
-                pending: dict[str, tuple[NormalizedAffiliation, str]] = {}
-                for m, n in zip(chunk, normalized):
-                    if n.cleaned not in memo and n.cleaned not in pending:
-                        pending[n.cleaned] = (n, m.raw)
-                if pool is not None and len(pending) > 1:
-                    keys = list(pending)
-                    results = pool.map(
-                        lambda key: _resolve_cleaned(*pending[key], g, client), keys
-                    )
-                    memo.update(zip(keys, results))
-                else:
-                    for key, (n, raw) in pending.items():
-                        memo[key] = _resolve_cleaned(n, raw, g, client)
-                for m, n in zip(chunk, normalized):
-                    category, iso2, evidence, ambiguous = memo[n.cleaned]
+                keys = []
+                misses: dict[str, str] = {}  # cleaned string -> first raw seen
+                for m in chunk:
+                    n = normalize_affiliation(m.raw)
+                    keys.append(n.cleaned)
+                    if n.cleaned in memo or n.cleaned in misses:
+                        continue
+                    outcome = _step1(n, g)
+                    if outcome is None:
+                        misses[n.cleaned] = m.raw
+                    else:
+                        memo[n.cleaned] = outcome
+                memo.update(zip(misses, lookup(lambda raw: _step2(raw, client), misses.values())))
+                for m, key in zip(chunk, keys):
+                    category, iso2, evidence, ambiguous = memo[key]
                     breakdown.add(category)
                     yield Resolution(m.paper_id, m.author_index, m.raw, category, iso2, evidence, ambiguous)
         finally:
             if pool is not None:
-                pool.shutdown(wait=False)
+                pool.shutdown(wait=False, cancel_futures=True)
 
     return ResolutionRun(generate(), breakdown)

@@ -20,11 +20,12 @@ import os
 import re
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 from urllib.parse import quote
 
 from ircmap.ingest import token_key
@@ -374,15 +375,24 @@ class WikidataClient:
         self.backoff_base = backoff_base
         self._sleep = sleep
         self._now = _utc_now
-        self._key_locks: dict[str, threading.Lock] = {}
+        #: key -> [lock, threads holding or waiting for it]; dropped at zero.
+        self._key_locks: dict[str, list] = {}
         self._master_lock = threading.Lock()
 
-    def _lock_for(self, key: str) -> threading.Lock:
+    @contextmanager
+    def _locked(self, key: str) -> Iterator[None]:
+        """Hold the per-key lock; its entry lives only while a thread uses it."""
         with self._master_lock:
-            lock = self._key_locks.get(key)
-            if lock is None:
-                lock = self._key_locks[key] = threading.Lock()
-            return lock
+            entry = self._key_locks.setdefault(key, [threading.Lock(), 0])
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._master_lock:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._key_locks[key]
 
     def query_country(self, fragment: str) -> CacheEntry:
         """Country labels for one fragment, from cache or the endpoint.
@@ -400,7 +410,7 @@ class WikidataClient:
             return entry
         if self.mode is Mode.OFFLINE:
             return CacheEntry(key, (), CacheStatus.ERROR, self._now().isoformat(), "offline-miss")
-        with self._lock_for(key):
+        with self._locked(key):
             entry = self.cache.get(key)
             if entry is not None:
                 return entry

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
+import sys
+import warnings
 from itertools import groupby
 from operator import itemgetter
 
@@ -19,6 +22,21 @@ from ircmap.ingest import (
     parse_records,
     token_key,
 )
+
+
+@pytest.fixture
+def resource_warnings_fail(monkeypatch):
+    """Turn ResourceWarning into an error and collect what destructors raise.
+
+    An unclosed file warns from its destructor, where an error cannot
+    propagate; it reaches ``sys.unraisablehook`` instead, which this records.
+    """
+    raised = []
+    monkeypatch.setattr(sys, "unraisablehook", raised.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        yield raised
+        gc.collect()
 
 
 def _render(fmt, rows):
@@ -229,6 +247,35 @@ class TestParseRecords:
         reader = parse_records(io.BytesIO(data), Format.GENERIC_JSONL)
         (record,) = list(reader)
         assert record.mentions[0].raw == "Café Lab"
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "mag-tsv", "csv"])
+    def test_path_input_closed_when_exhausted_or_closed(self, fmt, tmp_path, resource_warnings_fail):
+        rows = [("p1", "0", "Paris, France", "T", "2001", "ai"), ("p2", "0", "Rome, Italy", "T", "2002", "ai")]
+        path = tmp_path / f"input.{fmt}"
+        path.write_text(_render(fmt, rows), encoding="utf-8")
+        assert [r.paper_id for r in parse_records(path, fmt)] == ["p1", "p2"]
+        records = iter(parse_records(str(path), fmt))
+        assert next(records).paper_id == "p1"
+        records.close()
+        del records
+        gc.collect()
+        assert resource_warnings_fail == []
+
+    def test_path_input_closed_on_bad_header(self, tmp_path, resource_warnings_fail):
+        path = tmp_path / "input.csv"
+        path.write_text("paper_id,affiliation\np,x\n", encoding="utf-8")
+        with pytest.raises(IngestError):
+            parse_records(path, Format.GENERIC_CSV)
+        gc.collect()
+        assert resource_warnings_fail == []
+
+    @pytest.mark.parametrize("stream_type", [io.StringIO, io.BytesIO])
+    def test_caller_stream_left_open(self, stream_type):
+        text = '{"paper_id": "p1", "authors": []}\n'
+        stream = stream_type(text if stream_type is io.StringIO else text.encode())
+        assert len(list(parse_records(stream, Format.GENERIC_JSONL))) == 1
+        gc.collect()
+        assert not stream.closed
 
     def test_order_preserved_no_fabricated_mentions(self):
         rows = [

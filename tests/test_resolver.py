@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ircmap.resolver as resolver_module
 from ircmap.ingest import AffiliationMention, BibRecord, normalize_affiliation
 from ircmap.resolver import (
     Category,
@@ -12,7 +16,9 @@ from ircmap.resolver import (
     resolve_corpus,
     wikidata_fragments,
 )
-from ircmap.wikidata import CacheStore
+from ircmap.wikidata import CacheStore, Mode, ReplayTransport, TransportResponse
+
+from support import REPLAY_DIR
 
 
 def _mention(raw, paper="p", idx=0):
@@ -283,3 +289,82 @@ class TestResolveCorpus:
         # rerun is answered entirely from the snapshot.
         assert transport2.calls == 0
         assert first == second
+
+
+class TestResolveCorpusThreads:
+    """Step 1 stays on the calling thread; only knowledge-graph lookups are pooled."""
+
+    RAWS = ["Paris, France", "McGill University", "Cambridge, MA", "University of Oxford",
+            "NA", "ETH Zurich", "Paris, France"]
+
+    def test_step1_runs_on_calling_thread(self, gazetteer, make_replay_client, monkeypatch):
+        threads = set()
+        real = resolver_module.match_step1
+
+        def recording(n, g):
+            threads.add(threading.get_ident())
+            return real(n, g)
+
+        monkeypatch.setattr(resolver_module, "match_step1", recording)
+        client, transport = make_replay_client()
+        resolutions = list(resolve_corpus([_record("p", self.RAWS)], gazetteer, client, jobs=8))
+        assert threads == {threading.get_ident()}
+        assert transport.calls == 3
+        assert [r.iso2 for r in resolutions] == ["FR", "CA", "US", "GB", None, "CH", "FR"]
+
+    def test_online_lookups_overlap(self, gazetteer, make_replay_client):
+        barrier = threading.Barrier(2, timeout=5)
+        replay = ReplayTransport(REPLAY_DIR)
+
+        class BarrierTransport:
+            def get(self, url, params, headers):
+                barrier.wait()  # breaks, and so fails the run, if lookups are serialized
+                return replay.get(url, params, headers)
+
+        client, _ = make_replay_client()
+        client.transport = BarrierTransport()
+        raws = ["McGill University", "Paris, France", "University of Oxford"]
+        resolutions = list(resolve_corpus([_record("p", raws)], gazetteer, client, jobs=2))
+        assert [r.iso2 for r in resolutions] == ["CA", "FR", "GB"]
+
+    def test_offline_and_clientless_runs_start_no_pool(self, gazetteer, make_replay_client, monkeypatch):
+        pools = []
+        real = resolver_module.ThreadPoolExecutor
+
+        def recording(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(resolver_module, "ThreadPoolExecutor", recording)
+        offline, transport = make_replay_client(mode=Mode.OFFLINE)
+        records = [_record("p", self.RAWS)]
+        offline_run = list(resolve_corpus(records, gazetteer, offline, jobs=4))
+        clientless_run = list(resolve_corpus(records, gazetteer, None, jobs=4))
+        assert pools == []
+        assert transport.calls == 0
+        assert [r.category for r in offline_run] == [r.category for r in clientless_run]
+        online, _ = make_replay_client()
+        list(resolve_corpus(records, gazetteer, online, jobs=4))
+        assert pools == [{"max_workers": 4}]
+
+    def test_failed_lookup_cancels_queued_lookups(self, gazetteer, make_replay_client):
+        release = threading.Event()
+        calls = []
+
+        class FailFirstTransport:
+            def get(self, url, params, headers):
+                calls.append(params["query"])
+                if "Failing_Institute" in params["query"]:
+                    raise RuntimeError("lookup crashed")
+                release.wait(5)
+                return TransportResponse(200, '{"results": {"bindings": []}}')
+
+        client, _ = make_replay_client()
+        client.transport = FailFirstTransport()
+        raws = ["Failing Institute"] + [f"Quiet Institute {i}" for i in range(20)]
+        with pytest.raises(RuntimeError, match="lookup crashed"):
+            list(resolve_corpus([_record("p", raws)], gazetteer, client, jobs=2))
+        release.set()
+        time.sleep(0.2)  # long enough for uncancelled lookups to run
+        # The failed lookup plus at most one in flight per worker.
+        assert len(calls) <= 3
