@@ -21,6 +21,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Optional
+from urllib.parse import urlsplit
 
 from ircmap import __version__
 from ircmap.gazetteer import build_gazetteer, default_data_dir
@@ -214,6 +215,10 @@ def cmd_prepare(config: RunConfig) -> int:
 
 
 def _build_client(config: RunConfig, gazetteer) -> WikidataClient:
+    if not config.offline:
+        endpoint = urlsplit(config.endpoint)
+        if endpoint.scheme not in ("http", "https") or not endpoint.hostname:
+            raise CliError(f"SPARQL endpoint must be an http(s) URL with a host: {config.endpoint!r}")
     cache_path = Path(config.cache) if config.cache else default_cache_path()
     if config.offline and not cache_path.is_file():
         raise CliError(f"offline mode requires an existing cache file: {cache_path}")

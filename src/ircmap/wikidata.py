@@ -26,7 +26,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Optional
-from urllib.parse import quote
+from urllib.parse import quote, urlencode
 
 from ircmap.ingest import token_key
 
@@ -280,19 +280,31 @@ class RateLimiter:
 
 
 class RequestsTransport:
-    """HTTP GET against a live SPARQL endpoint."""
+    """HTTP GET against a live SPARQL endpoint, with ``urllib.request``.
+
+    An HTTP error status comes back as a response, for the client to retry or
+    not; getting no response at all raises :class:`TransportError`.  The HTTP
+    modules are imported on first use, so offline runs never load them.
+    """
 
     def __init__(self, timeout: float = 30.0):
         self.timeout = timeout
 
     def get(self, url: str, params: dict, headers: dict) -> TransportResponse:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
         try:
-            response = requests.get(url, params=params, headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
+            request = urllib.request.Request(f"{url}?{urlencode(params)}", headers=headers)
+            try:
+                response = urllib.request.urlopen(request, timeout=self.timeout)
+            except urllib.error.HTTPError as exc:
+                response = exc  # an error status still comes with a readable body
+            with response:
+                return TransportResponse(response.status, response.read().decode("utf-8", "replace"))
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(str(exc)) from exc
-        return TransportResponse(response.status_code, response.text)
 
 
 class ReplayTransport:

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ircmap
 from ircmap.cli import main
 from ircmap.wikidata import CacheEntry, CacheStatus, CacheStore
 
@@ -330,6 +334,29 @@ class TestEnvironment:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["config"]["endpoint"] == "https://example.org/sparql"
 
+    @pytest.mark.parametrize(
+        "endpoint, via_env",
+        [
+            ("query.wikidata.org/sparql", False),
+            ("query.wikidata.org/sparql", True),
+            ("ftp://query.wikidata.org/sparql", False),
+            ("https:///sparql", False),
+        ],
+    )
+    def test_unusable_endpoint_rejected_before_any_lookup(self, tmp_path, monkeypatch, capsys,
+                                                           endpoint, via_env):
+        corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", "McGill University"])])
+        out, cache = tmp_path / "out", tmp_path / "cache.jsonl"
+        argv = ["resolve", "--input", str(corpus), "--output", str(out), "--cache", str(cache)]
+        if via_env:
+            monkeypatch.setenv("IRC_SPARQL_ENDPOINT", endpoint)
+        else:
+            argv += ["--endpoint", endpoint]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("ircmap: error: SPARQL endpoint must be")
+        assert not any(out.iterdir())
+        assert not cache.exists()
+
     def test_cache_dir_env_var_used_by_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("IRC_CACHE_DIR", str(tmp_path / "cachedir"))
         from ircmap.cli import default_cache_path
@@ -374,3 +401,29 @@ class TestReport:
         empty = tmp_path / "nothing"
         empty.mkdir()
         assert main(["report", "--input", str(empty)]) == 1
+
+
+def test_offline_pipeline_never_imports_an_http_client(tmp_path, warm_cache):
+    """prepare, offline resolve and metrics leave the HTTP modules unloaded (start-up time, RSS)."""
+    corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", "McGill University"])])
+    script = """
+import sys
+import ircmap.cli
+corpus, cache, work = sys.argv[1:]
+for argv in (
+    ["prepare", "--input", corpus, "--output", work + "/prep"],
+    ["resolve", "--input", work + "/prep/prepared.jsonl", "--output", work + "/res",
+     "--cache", cache, "--offline"],
+    ["metrics", "--input", work + "/res/enriched.jsonl", "--output", work + "/met"],
+):
+    assert ircmap.cli.main(argv) == 0, argv
+print(sorted(m for m in ("urllib.request", "http.client", "requests") if m in sys.modules))
+"""
+    src = str(Path(ircmap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(corpus), str(warm_cache), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

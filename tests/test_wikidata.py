@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
@@ -17,6 +20,7 @@ from ircmap.wikidata import (
     Mode,
     RateLimiter,
     ReplayTransport,
+    RequestsTransport,
     TransportError,
     TransportResponse,
     WikidataClient,
@@ -376,3 +380,112 @@ class TestRateLimiter:
         assert transport.calls == 6
         # Six requests at 4/s need at least 1.25 simulated seconds.
         assert clock.now >= 5 * 0.25 - 1e-9
+
+
+class _ScriptedEndpoint(BaseHTTPRequestHandler):
+    """Answers each GET with the server's next (status, body) and records the request."""
+
+    def do_GET(self):  # noqa: N802 (http.server naming)
+        self.server.seen.append((self.path, dict(self.headers)))
+        status, body = self.server.replies.pop(0)
+        data = body.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/sparql-results+json")  # no charset
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+
+def _bindings(*labels: str) -> str:
+    return json.dumps(
+        {"results": {"bindings": [{"countryLabel": {"value": label}} for label in labels]}},
+        ensure_ascii=False,
+    )
+
+
+class TestRequestsTransportLoopback:
+    """The real transport against an HTTP server on 127.0.0.1, with ``requests`` unimportable."""
+
+    @pytest.fixture(autouse=True)
+    def no_requests_no_proxy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+
+    @pytest.fixture
+    def endpoint(self):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedEndpoint)
+        server.replies, server.seen = [], []
+        server.url = f"http://127.0.0.1:{server.server_address[1]}/sparql"
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        try:
+            yield server
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(5)
+            assert not thread.is_alive()
+
+    def _client(self, endpoint, label_map):
+        return WikidataClient(
+            cache=CacheStore(), label_map=label_map, endpoint=endpoint.url,
+            transport=RequestsTransport(timeout=5), rate_limit=0.0, sleep=lambda s: None,
+            user_agent="ircmap-tests/1 (loopback)",
+        )
+
+    def test_query_and_headers_arrive_verbatim(self, endpoint, label_map):
+        endpoint.replies.append((200, _bindings("Canada")))
+        entry = self._client(endpoint, label_map).query_country("AT&T Labs  Montréal")
+        assert entry.countries == ("Canada",)
+        ((path, headers),) = endpoint.seen
+        parts = urlsplit(path)
+        assert parts.path == "/sparql"
+        assert parse_qs(parts.query) == {"query": [build_sparql_query("AT&T Labs  Montréal").text]}
+        assert headers["User-Agent"] == "ircmap-tests/1 (loopback)"
+        assert headers["Accept"] == "application/sparql-results+json"
+
+    def test_utf8_body_without_charset_decodes_exactly(self, endpoint, label_map):
+        body = _bindings("Curaçao")
+        endpoint.replies.append((200, body))
+        response = RequestsTransport(timeout=5).get(endpoint.url, {"query": "q"}, {})
+        assert response == TransportResponse(200, body)
+        endpoint.replies.append((200, body))
+        entry = self._client(endpoint, label_map).query_country("University of Curaçao")
+        assert entry.countries == ("Curaçao",)
+        assert label_map.get(entry.countries[0]) == "CW"
+
+    def test_server_error_retried_to_success(self, endpoint, label_map):
+        endpoint.replies += [(503, "busy"), (200, _bindings("Canada"))]
+        entry = self._client(endpoint, label_map).query_country("McGill University")
+        assert entry.status is CacheStatus.HIT
+        assert len(endpoint.seen) == 2
+
+    def test_client_error_sent_once(self, endpoint, label_map):
+        endpoint.replies.append((404, "nope"))
+        response = RequestsTransport(timeout=5).get(endpoint.url, {"query": "q"}, {})
+        assert response == TransportResponse(404, "nope")
+        endpoint.replies.append((404, "nope"))
+        entry = self._client(endpoint, label_map).query_country("McGill University")
+        assert (entry.status, entry.detail) == (CacheStatus.ERROR, "http 404")
+        assert len(endpoint.seen) == 2
+
+    def test_closed_port_is_transport_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as sock:
+            port = sock.getsockname()[1]
+        with pytest.raises(TransportError):
+            RequestsTransport(timeout=5).get(f"http://127.0.0.1:{port}/sparql", {"query": "q"}, {})
+
+    def test_silent_server_is_transport_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as sock:  # listens, never answers
+            url = f"http://127.0.0.1:{sock.getsockname()[1]}/sparql"
+            started = time.monotonic()
+            with pytest.raises(TransportError):
+                RequestsTransport(timeout=0.2).get(url, {"query": "q"}, {})
+            assert time.monotonic() - started < 5
+
+    def test_url_without_scheme_is_transport_error(self):
+        with pytest.raises(TransportError):
+            RequestsTransport(timeout=5).get("query.wikidata.org/sparql", {"query": "q"}, {})
