@@ -29,12 +29,12 @@ from typing import Mapping, Optional
 from ircmap.ingest import token_key
 
 __all__ = [
-    "AmbiguityEntry",
     "ComponentPartEntry",
     "CountryEntry",
     "Gazetteer",
     "GazetteerError",
     "Interpretation",
+    "KeyEntry",
     "build_gazetteer",
     "default_data_dir",
 ]
@@ -65,13 +65,27 @@ class ComponentPartEntry:
 
 @dataclass(frozen=True)
 class Interpretation:
+    """One meaning of a key.
+
+    ``abbreviation`` is set for a part matched by one of its abbreviations
+    rather than its name; the matcher accepts those only at the end of a
+    segment or before a number.
+    """
+
     kind: str  # "country" or "part"
     iso2: str
     part_name: Optional[str] = None
+    abbreviation: bool = False
 
 
 @dataclass(frozen=True)
-class AmbiguityEntry:
+class KeyEntry:
+    """Everything a normalized key can mean, in preference order.
+
+    Plain keys have one interpretation and no markers; entries of the
+    ambiguity table have two or more.
+    """
+
     token: str
     interpretations: tuple[Interpretation, ...]
     context_markers: frozenset[str]
@@ -103,7 +117,13 @@ def _read_table(path: Path, n_fields_min: int, n_fields_max: int):
 
 
 class Gazetteer:
-    """Immutable place-name tables; safe for unrestricted concurrent reads."""
+    """Immutable place-name tables; safe for unrestricted concurrent reads.
+
+    ``keys`` maps every normalized key to its :class:`KeyEntry`: the
+    ambiguity table's entries as they are, and each plain country and part
+    key as a single interpretation.  ``country_key_map``, ``part_key_map``
+    and ``ambiguity`` split the same keys into three disjoint maps.
+    """
 
     def __init__(
         self,
@@ -111,65 +131,23 @@ class Gazetteer:
         parts: tuple[ComponentPartEntry, ...],
         country_keys: dict[str, str],
         part_keys: dict[str, tuple[str, str, bool]],
-        ambiguity: dict[str, AmbiguityEntry],
+        ambiguity: dict[str, KeyEntry],
     ):
         self.countries: Mapping[str, CountryEntry] = MappingProxyType(countries)
         self.parts = parts
         self.country_key_map: Mapping[str, str] = MappingProxyType(country_keys)
         self.part_key_map: Mapping[str, tuple[str, str, bool]] = MappingProxyType(part_keys)
-        self.ambiguity: Mapping[str, AmbiguityEntry] = MappingProxyType(ambiguity)
-
-    # -- lookups ---------------------------------------------------------
-
-    def lookup_country(self, token: str) -> Optional[tuple[str, str]]:
-        """Country whose canonical name or alias equals ``token``.
-
-        Returns ``(iso2, matched_alias)``; ambiguous tokens resolve to their
-        preferred country interpretation.  Total: unknown tokens give None.
-        """
-        entry = self.ambiguity.get(token)
-        if entry is not None:
-            for interp in entry.interpretations:
-                if interp.kind == "country":
-                    return (interp.iso2, token)
-            return None
-        iso2 = self.country_key_map.get(token)
-        return (iso2, token) if iso2 is not None else None
-
-    def lookup_component_part(self, token: str) -> Optional[tuple[str, str]]:
-        """Parent country of the component part matching ``token``.
-
-        Returns ``(parent_iso2, part_name)``; UK nations return GB.
-        """
-        entry = self.ambiguity.get(token)
-        if entry is not None:
-            for interp in entry.interpretations:
-                if interp.kind == "part":
-                    return (interp.iso2, interp.part_name or token)
-            return None
-        hit = self.part_key_map.get(token)
-        return (hit[0], hit[1]) if hit is not None else None
-
-    # -- key classification used by the matcher --------------------------
-
-    def has_country_key(self, token: str) -> bool:
-        entry = self.ambiguity.get(token)
-        if entry is not None:
-            return any(i.kind == "country" for i in entry.interpretations)
-        return token in self.country_key_map
-
-    def has_part_key(self, token: str) -> bool:
-        entry = self.ambiguity.get(token)
-        if entry is not None:
-            return any(i.kind == "part" for i in entry.interpretations)
-        return token in self.part_key_map
-
-    def part_is_abbreviation(self, token: str, part_name: str) -> bool:
-        """Whether ``token`` matched via an abbreviation rather than the name."""
-        hit = self.part_key_map.get(token)
-        if hit is not None and hit[1] == part_name:
-            return hit[2]
-        return token != token_key(part_name)
+        self.ambiguity: Mapping[str, KeyEntry] = MappingProxyType(ambiguity)
+        keys = {
+            key: KeyEntry(key, (Interpretation("country", iso2),), frozenset())
+            for key, iso2 in country_keys.items()
+        }
+        for key, (parent, part_name, is_abbrev) in part_keys.items():
+            keys[key] = KeyEntry(
+                key, (Interpretation("part", parent, part_name, is_abbrev),), frozenset()
+            )
+        keys.update(ambiguity)
+        self.keys: Mapping[str, KeyEntry] = MappingProxyType(keys)
 
 
 def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Gazetteer:
@@ -253,7 +231,7 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
                     part_keys[key] = (parent, part_name, is_abbrev)
                     part_key_origin[key] = f"{path.name}:{lineno}"
 
-    ambiguity: dict[str, AmbiguityEntry] = {}
+    ambiguity: dict[str, KeyEntry] = {}
     ambiguity_path = data_dir / AMBIGUITY_FILE
     for lineno, fields in _read_table(ambiguity_path, 2, 3):
         token = token_key(fields[0])
@@ -282,7 +260,7 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
                     # Interpretations pointing at a table that is not loaded
                     # (e.g. the extension file) are dropped, not fatal.
                     continue
-                interps.append(Interpretation("part", iso2, name))
+                interps.append(Interpretation("part", iso2, name, token != token_key(name)))
             else:
                 raise GazetteerError(
                     f"{ambiguity_path}:{lineno}: bad interpretation {item!r}"
@@ -292,7 +270,7 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
         markers = frozenset(
             token_key(m) for m in (fields[2].split("|") if len(fields) == 3 else []) if m.strip()
         ) - {""}
-        ambiguity[token] = AmbiguityEntry(token, tuple(interps), markers)
+        ambiguity[token] = KeyEntry(token, tuple(interps), markers)
 
     # Any duplicate key, within a table or across the two tables, must be
     # disambiguated explicitly.

@@ -11,14 +11,14 @@ Each affiliation mention is classified into exactly one category:
 * ``Unidentified`` -- everything else.
 
 String matching scans comma segments and their tokens right to left, because
-affiliations conventionally end with the location, trying windows of up to
-three tokens.  At a given end position the longest matching window wins, and
-a country key beats a component-part key of the same length; a part key that
-is strictly longer shadows the shorter country key (so "Princeton, New
-Jersey" is the US state, not the island of Jersey).  Part *abbreviations*
-(MA, TX, ...) only count at the end of a segment or directly before a number,
-which keeps tokens like "de", "in", or "al" inside institution names from
-matching as US states.
+affiliations conventionally end with the location, looking up windows of up
+to three tokens.  At each end position only the longest key counts, so a
+part name that is strictly longer shadows a country key inside it
+("Princeton, New Jersey" is the US state, not the island of Jersey).  A
+country key found anywhere in the string beats every part.  Part
+*abbreviations* (MA, TX, ...) only count at the end of a segment or directly
+before a number, which keeps tokens like "de", "in", or "al" inside
+institution names from matching as US states.
 
 The knowledge-graph step is only ever invoked for mentions that step 1 could
 not identify.
@@ -34,7 +34,7 @@ from enum import Enum
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
-from ircmap.gazetteer import Gazetteer
+from ircmap.gazetteer import Gazetteer, Interpretation, KeyEntry
 from ircmap.ingest import (
     AffiliationMention,
     BibRecord,
@@ -123,72 +123,53 @@ class Step1Match:
     ambiguous: bool
 
 
-def _longest_hit(g: Gazetteer, tokens: list[str], end: int, check) -> tuple[int, str]:
-    """Length and text of the longest window ending at ``end`` that passes ``check``."""
-    for length in range(min(MAX_WINDOW, end + 1), 0, -1):
-        window = " ".join(tokens[end - length + 1 : end + 1])
-        if check(window):
-            return length, window
-    return 0, ""
-
-
-def _pick_interpretation(g: Gazetteer, window: str, joined: str):
+def _pick_interpretation(entry: KeyEntry, joined: str) -> Interpretation:
     """Apply the ambiguity table's preference, flipped by a context marker."""
-    entry = g.ambiguity[window]
     padded = f" {joined} "
     flip = any(f" {marker} " in padded for marker in entry.context_markers)
     order = entry.interpretations[1:] + entry.interpretations[:1] if flip else entry.interpretations
     return order[0]
 
 
+def _match(entry: KeyEntry, interp: Interpretation) -> Step1Match:
+    category = Category.COUNTRY_NAME if interp.kind == "country" else Category.COMPONENT_PART
+    return Step1Match(
+        interp.iso2, category, interp.part_name or entry.token, len(entry.interpretations) > 1
+    )
+
+
 def match_step1(n: NormalizedAffiliation, g: Gazetteer) -> Optional[Step1Match]:
     """Gazetteer pass over a normalized, non-null affiliation.
 
-    Countries are tried over the whole string before component parts; within
-    one end position a strictly longer part match shadows a country match.
-    ``ambiguous`` is set whenever the ambiguity table decided the outcome.
+    One right-to-left pass over segments and end positions; at each end only
+    the longest key (up to three tokens) counts.  A country key anywhere in
+    the string beats every part: the first one found decides the result,
+    through the ambiguity table if it is contested.  Otherwise the first
+    usable part found wins: a part name, or an abbreviation at a segment end
+    or before a number.  ``ambiguous`` is set whenever the ambiguity table
+    decided the outcome.
     """
-    seg_tokens = [seg.split() for seg in reversed(n.segments)]
+    keys = g.keys
     joined = " ".join(n.tokens)
-
-    for tokens in seg_tokens:
-        for end in range(len(tokens) - 1, -1, -1):
-            c_len, c_win = _longest_hit(g, tokens, end, g.has_country_key)
-            if not c_len:
+    part = None
+    for segment in reversed(n.segments):
+        tokens = segment.split()
+        last = len(tokens) - 1
+        for end in range(last, -1, -1):
+            window = tokens[end]
+            entry = keys.get(window)
+            for start in range(end - 1, max(end - MAX_WINDOW, -1), -1):
+                window = f"{tokens[start]} {window}"
+                entry = keys.get(window) or entry  # a longer key replaces a shorter one
+            if entry is None:
                 continue
-            p_len, _ = _longest_hit(g, tokens, end, g.has_part_key)
-            if p_len > c_len:
-                continue  # shadowed by a longer part name ending here
-            if c_win in g.ambiguity:
-                interp = _pick_interpretation(g, c_win, joined)
-                if interp.kind == "country":
-                    return Step1Match(interp.iso2, Category.COUNTRY_NAME, c_win, True)
-                return Step1Match(
-                    interp.iso2, Category.COMPONENT_PART, interp.part_name or c_win, True
-                )
-            return Step1Match(g.country_key_map[c_win], Category.COUNTRY_NAME, c_win, False)
-
-    for tokens in seg_tokens:
-        for end in range(len(tokens) - 1, -1, -1):
-            p_len, p_win = _longest_hit(g, tokens, end, g.has_part_key)
-            if not p_len:
-                continue
-            ambiguous = p_win in g.ambiguity
-            if ambiguous:
-                interp = _pick_interpretation(g, p_win, joined)
-                if interp.kind != "part":
-                    continue
-                parent, part_name = interp.iso2, interp.part_name or p_win
-            else:
-                parent, part_name, _ = g.part_key_map[p_win]
-            if g.part_is_abbreviation(p_win, part_name):
-                at_segment_end = end == len(tokens) - 1
-                before_number = end + 1 < len(tokens) and tokens[end + 1].isdigit()
-                if not (at_segment_end or before_number):
-                    continue
-            return Step1Match(parent, Category.COMPONENT_PART, part_name, ambiguous)
-
-    return None
+            if any(i.kind == "country" for i in entry.interpretations):
+                return _match(entry, _pick_interpretation(entry, joined))
+            if part is None:
+                interp = _pick_interpretation(entry, joined)
+                if not interp.abbreviation or end == last or tokens[end + 1].isdigit():
+                    part = _match(entry, interp)
+    return part
 
 
 def wikidata_fragments(raw: str) -> list[str]:

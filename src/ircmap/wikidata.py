@@ -166,13 +166,17 @@ class CacheStore:
         self._now = now
         self._entries: dict[str, CacheEntry] = {}
         self._lock = threading.Lock()
+        # A run killed mid-append leaves a last line without its newline; the
+        # next put starts a fresh line so its entry is not glued onto it.
+        self._torn_tail = False
         if self.path is not None and self.path.is_file():
             self._load()
 
     def _load(self) -> None:
         with open(self.path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
+            for lineno, raw in enumerate(handle, start=1):
+                self._torn_tail = not raw.endswith("\n")
+                line = raw.strip()
                 if not line:
                     continue
                 try:
@@ -209,7 +213,8 @@ class CacheStore:
             if self.path is not None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(entry.to_json() + "\n")
+                    handle.write(("\n" if self._torn_tail else "") + entry.to_json() + "\n")
+                self._torn_tail = False
 
 
 class LabelMap:
@@ -412,7 +417,8 @@ class WikidataClient:
         Cache hits cost no network I/O.  In offline mode a miss returns an
         (uncached) ``offline-miss`` error entry.  HTTP 429/5xx responses are
         retried with exponential backoff and, like other HTTP failures, end
-        up cached with a short TTL; malformed bodies are not cached.
+        up cached with a short TTL; malformed bodies and an unusable endpoint
+        URL are not cached, and the latter is not retried either.
         """
         key = token_key(fragment)
         if not key:
@@ -444,6 +450,12 @@ class WikidataClient:
                 )
             except TransportError as exc:
                 last_error = f"transport error: {exc}"
+                if isinstance(exc.__cause__, ValueError):
+                    # An unusable endpoint URL never starts working: no retry, no cache.
+                    return (
+                        CacheEntry(key, (), CacheStatus.ERROR, self._now().isoformat(), last_error),
+                        False,
+                    )
                 continue
             if response.status_code == 200:
                 try:

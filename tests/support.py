@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: instrumented transports and fixture paths."""
+"""Shared helpers for the test suite: instrumented transports, fixture paths
+and gazetteer key lookups."""
 
 from __future__ import annotations
 
@@ -10,6 +11,14 @@ FIXTURES_DIR = Path(__file__).parent / "fixtures"
 REPLAY_DIR = FIXTURES_DIR / "wikidata_replay"
 LABELED_FIXTURE = FIXTURES_DIR / "labeled_affiliations.tsv"
 QUERY_TEMPLATE_FILE = FIXTURES_DIR / "country_query_template.sparql"
+
+
+def preferred(gazetteer, key, kind):
+    """The most preferred ``kind`` interpretation of ``key``, or None."""
+    entry = gazetteer.keys.get(key)
+    if entry is None:
+        return None
+    return next((i for i in entry.interpretations if i.kind == kind), None)
 
 
 class CountingTransport:

@@ -27,7 +27,14 @@ from ircmap.wikidata import (
     build_sparql_query,
 )
 
-from support import QUERY_TEMPLATE_FILE, REPLAY_DIR, CountingTransport, FailingTransport, read_labeled_fixture
+from support import (
+    QUERY_TEMPLATE_FILE,
+    REPLAY_DIR,
+    CountingTransport,
+    FailingTransport,
+    preferred,
+    read_labeled_fixture,
+)
 
 PASS = "[PASS]"
 
@@ -170,25 +177,25 @@ def test_labeled_fixture_accuracy(gazetteer, label_map):
 
 def test_gazetteer_completeness(gazetteer, data_dir):
     for iso2, entry in gazetteer.countries.items():
-        hit = gazetteer.lookup_country(token_key(entry.canonical_name))
-        assert hit is not None and hit[0] == iso2, entry.canonical_name
+        hit = preferred(gazetteer, token_key(entry.canonical_name), "country")
+        assert hit is not None and hit.iso2 == iso2, entry.canonical_name
     assert len(gazetteer.countries) >= 193
 
     us_parts = [p for p in gazetteer.parts if p.parent_iso2 == "US"]
     state_names = {p.part_name for p in us_parts}
     assert len(state_names) == 51  # 50 states + DC
     for part in us_parts:
-        hit = gazetteer.lookup_component_part(token_key(part.part_name))
-        assert hit is not None and hit[0] == "US", part.part_name
+        hit = preferred(gazetteer, token_key(part.part_name), "part")
+        assert hit is not None and hit.iso2 == "US", part.part_name
         usps = sorted(a for a in part.abbreviations if len(a) == 2)
         assert usps, f"{part.part_name} lacks a USPS code"
         for code in usps:
-            hit = gazetteer.lookup_component_part(code)
-            assert hit is not None and hit[0] == "US", code
+            hit = preferred(gazetteer, code, "part")
+            assert hit is not None and hit.iso2 == "US", code
 
     for nation in ("England", "Scotland", "Wales", "Northern Ireland"):
-        hit = gazetteer.lookup_component_part(token_key(nation))
-        assert hit == ("GB", nation)
+        hit = preferred(gazetteer, token_key(nation), "part")
+        assert (hit.iso2, hit.part_name) == ("GB", nation)
     print(f"{PASS} gazetteer completeness: {len(gazetteer.countries)} countries, "
           f"51 US parts by name+code, 4 UK nations -> GB")
 

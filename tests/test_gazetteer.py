@@ -9,9 +9,12 @@ from ircmap.gazetteer import (
     COUNTRIES_FILE,
     PARTS_FILE,
     GazetteerError,
+    Interpretation,
     build_gazetteer,
 )
 from ircmap.ingest import token_key
+
+from support import preferred
 
 
 def _table_rows(path):
@@ -42,7 +45,7 @@ class TestBuild:
         assert len(us_rows) == 1
         aliases = us_rows[0][2].split("|")
         assert "USA" in aliases
-        assert gazetteer.lookup_country("usa") == ("US", "usa")
+        assert gazetteer.keys["usa"].interpretations == (Interpretation("country", "US"),)
 
     def test_missing_parts_file_is_fatal(self, data_dir, tmp_path):
         work = tmp_path / "tables"
@@ -86,53 +89,66 @@ class TestBuild:
         assert dict(first.country_key_map) == dict(second.country_key_map)
         assert dict(first.part_key_map) == dict(second.part_key_map)
         assert set(first.ambiguity) == set(second.ambiguity)
+        assert dict(first.keys) == dict(second.keys)
 
 
 class TestLookups:
     def test_canonical_name_identity(self, gazetteer):
-        assert gazetteer.lookup_country("canada") == ("CA", "canada")
+        assert gazetteer.keys["canada"].interpretations == (Interpretation("country", "CA"),)
 
     def test_institution_is_not_a_country(self, gazetteer):
-        assert gazetteer.lookup_country("mcgill university") is None
+        assert "mcgill university" not in gazetteer.keys
 
     def test_uk_nation_resolves_to_gb(self, gazetteer):
-        assert gazetteer.lookup_component_part("scotland") == ("GB", "Scotland")
+        assert gazetteer.keys["scotland"].interpretations == (
+            Interpretation("part", "GB", "Scotland"),
+        )
 
     def test_usps_code(self, gazetteer):
-        assert gazetteer.lookup_component_part("ma") == ("US", "Massachusetts")
+        assert gazetteer.keys["ma"].interpretations == (
+            Interpretation("part", "US", "Massachusetts", abbreviation=True),
+        )
 
     def test_absent_token(self, gazetteer):
-        assert gazetteer.lookup_component_part("atlantis") is None
-        assert gazetteer.lookup_country("atlantis") is None
+        assert "atlantis" not in gazetteer.keys
 
     def test_ambiguous_token_prefers_country(self, gazetteer):
-        assert gazetteer.lookup_country("georgia") == ("GE", "georgia")
-        assert gazetteer.lookup_component_part("georgia") == ("US", "Georgia")
+        assert gazetteer.keys["georgia"].interpretations == (
+            Interpretation("country", "GE"),
+            Interpretation("part", "US", "Georgia"),
+        )
 
 
 class TestInvariants:
     def test_every_canonical_name_resolves(self, gazetteer):
         for iso2, entry in gazetteer.countries.items():
-            key = token_key(entry.canonical_name)
-            hit = gazetteer.lookup_country(key)
+            hit = preferred(gazetteer, token_key(entry.canonical_name), "country")
             assert hit is not None, entry.canonical_name
-            assert hit[0] == iso2
+            assert hit.iso2 == iso2
 
     def test_every_part_name_and_abbreviation_resolves(self, gazetteer):
         for part in gazetteer.parts:
             keys = {token_key(part.part_name)} | set(part.abbreviations)
             for key in keys:
-                hit = gazetteer.lookup_component_part(key)
+                hit = preferred(gazetteer, key, "part")
                 assert hit is not None, key
-                assert hit[0] == part.parent_iso2
+                assert hit.iso2 == part.parent_iso2
+
+    @pytest.mark.parametrize("include_extension", [False, True])
+    def test_abbreviation_flag_marks_keys_other_than_the_name(self, data_dir, include_extension):
+        g = build_gazetteer(data_dir, include_extension=include_extension)
+        for key, entry in g.keys.items():
+            for interp in entry.interpretations:
+                expected = interp.kind == "part" and key != token_key(interp.part_name)
+                assert interp.abbreviation == expected, (key, interp)
 
     def test_known_tokens_never_vanish(self, gazetteer):
         known = set(gazetteer.country_key_map) | set(gazetteer.part_key_map) | set(gazetteer.ambiguity)
-        for token in known:
-            assert (
-                gazetteer.lookup_country(token) is not None
-                or gazetteer.lookup_component_part(token) is not None
-            ), token
+        assert set(gazetteer.keys) == known
+        for token, entry in gazetteer.keys.items():
+            assert entry.token == token
+            assert entry.interpretations, token
+            assert (len(entry.interpretations) > 1) == (token in gazetteer.ambiguity), token
 
     def test_alias_uniqueness_in_plain_maps(self, gazetteer):
         # The ambiguity table owns contested tokens; the plain maps never share.
@@ -141,5 +157,9 @@ class TestInvariants:
     def test_extension_adds_wa_ambiguity(self, data_dir):
         extended = build_gazetteer(data_dir, include_extension=True)
         assert "wa" in extended.ambiguity
-        assert extended.lookup_component_part("wa") == ("US", "Washington")
-        assert extended.lookup_component_part("nsw") == ("AU", "New South Wales")
+        assert preferred(extended, "wa", "part") == Interpretation(
+            "part", "US", "Washington", abbreviation=True
+        )
+        assert preferred(extended, "nsw", "part") == Interpretation(
+            "part", "AU", "New South Wales", abbreviation=True
+        )

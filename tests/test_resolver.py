@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import functools
 import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ircmap.resolver as resolver_module
-from ircmap.ingest import AffiliationMention, BibRecord, normalize_affiliation
+from ircmap.gazetteer import build_gazetteer, default_data_dir
+from ircmap.ingest import AffiliationMention, BibRecord, normalize_affiliation, token_key
 from ircmap.resolver import (
     Category,
+    Step1Match,
     match_step1,
     resolve,
     resolve_corpus,
@@ -103,6 +106,125 @@ class TestMatchStep1:
         assert (perth.iso2, perth.evidence, perth.ambiguous) == ("AU", "Western Australia", True)
         sydney = match_step1(normalize_affiliation("sydney, nsw"), extended)
         assert (sydney.iso2, sydney.evidence) == ("AU", "New South Wales")
+
+
+def _oracle_match_step1(n, g):
+    """Reference for ``match_step1``: the two-scan matcher it replaced.
+
+    Countries are tried over the whole string before component parts; within
+    one end position a strictly longer part match shadows a country match.
+    It reads only the plain key maps and the ambiguity table.
+    """
+
+    def has_country_key(token):
+        entry = g.ambiguity.get(token)
+        if entry is not None:
+            return any(i.kind == "country" for i in entry.interpretations)
+        return token in g.country_key_map
+
+    def has_part_key(token):
+        entry = g.ambiguity.get(token)
+        if entry is not None:
+            return any(i.kind == "part" for i in entry.interpretations)
+        return token in g.part_key_map
+
+    def part_is_abbreviation(token, part_name):
+        hit = g.part_key_map.get(token)
+        if hit is not None and hit[1] == part_name:
+            return hit[2]
+        return token != token_key(part_name)
+
+    def _longest_hit(tokens, end, check):
+        for length in range(min(3, end + 1), 0, -1):
+            window = " ".join(tokens[end - length + 1 : end + 1])
+            if check(window):
+                return length, window
+        return 0, ""
+
+    def pick_interpretation(window, joined):
+        entry = g.ambiguity[window]
+        padded = f" {joined} "
+        flip = any(f" {marker} " in padded for marker in entry.context_markers)
+        order = entry.interpretations[1:] + entry.interpretations[:1] if flip else entry.interpretations
+        return order[0]
+
+    seg_tokens = [seg.split() for seg in reversed(n.segments)]
+    joined = " ".join(n.tokens)
+
+    for tokens in seg_tokens:
+        for end in range(len(tokens) - 1, -1, -1):
+            c_len, c_win = _longest_hit(tokens, end, has_country_key)
+            if not c_len:
+                continue
+            p_len, _ = _longest_hit(tokens, end, has_part_key)
+            if p_len > c_len:
+                continue
+            if c_win in g.ambiguity:
+                interp = pick_interpretation(c_win, joined)
+                if interp.kind == "country":
+                    return Step1Match(interp.iso2, Category.COUNTRY_NAME, c_win, True)
+                return Step1Match(
+                    interp.iso2, Category.COMPONENT_PART, interp.part_name or c_win, True
+                )
+            return Step1Match(g.country_key_map[c_win], Category.COUNTRY_NAME, c_win, False)
+
+    for tokens in seg_tokens:
+        for end in range(len(tokens) - 1, -1, -1):
+            p_len, p_win = _longest_hit(tokens, end, has_part_key)
+            if not p_len:
+                continue
+            ambiguous = p_win in g.ambiguity
+            if ambiguous:
+                interp = pick_interpretation(p_win, joined)
+                if interp.kind != "part":
+                    continue
+                parent, part_name = interp.iso2, interp.part_name or p_win
+            else:
+                parent, part_name, _ = g.part_key_map[p_win]
+            if part_is_abbreviation(p_win, part_name):
+                at_segment_end = end == len(tokens) - 1
+                before_number = end + 1 < len(tokens) and tokens[end + 1].isdigit()
+                if not (at_segment_end or before_number):
+                    continue
+            return Step1Match(parent, Category.COMPONENT_PART, part_name, ambiguous)
+
+    return None
+
+
+@functools.cache
+def _gazetteer_for(include_extension):
+    return build_gazetteer(default_data_dir(), include_extension=include_extension)
+
+
+#: Tokens that sit inside institution names, or start or end multi-token keys.
+_NOISE = "de in al la new south north guinea washington university of institute".split()
+
+
+def _affiliations(g):
+    """Comma-separated strings of gazetteer keys, their words, markers, noise and numbers."""
+    parts = sorted(set(g.part_key_map) | set(g.ambiguity))
+    words = sorted({word for key in g.keys for word in key.split()})
+    markers = sorted({m for entry in g.ambiguity.values() for m in entry.context_markers})
+    token = st.one_of(
+        st.sampled_from(sorted(g.country_key_map)),
+        st.sampled_from(parts),
+        st.sampled_from(words),
+        st.sampled_from(_NOISE + markers),
+        st.integers(0, 99999).map(str),
+    )
+    segment = st.lists(token, min_size=1, max_size=5).map(" ".join)
+    return st.lists(segment, min_size=1, max_size=4).map(", ".join)
+
+
+class TestMatchStep1AgainstOracle:
+    @pytest.mark.parametrize("include_extension", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_same_match_as_two_scan_oracle(self, include_extension, data):
+        g = _gazetteer_for(include_extension)
+        n = normalize_affiliation(data.draw(_affiliations(g)))
+        assume(not n.null_like)
+        assert match_step1(n, g) == _oracle_match_step1(n, g), n.cleaned
 
 
 class TestWikidataFragments:

@@ -129,6 +129,22 @@ class TestCacheStore:
         path.write_text('not json\n' + self._entry().to_json() + "\n", encoding="utf-8")
         assert CacheStore(path).get("k") is not None
 
+    def test_torn_last_line_does_not_swallow_next_put(self, tmp_path, label_map):
+        # A run killed mid-append leaves the last line cut short, without "\n".
+        path = tmp_path / "cache.jsonl"
+        store = CacheStore(path)
+        for key in ("a", "b"):
+            store.put(self._entry(key=key))
+        path.write_bytes(path.read_bytes()[:-10])
+        CacheStore(path).put(self._entry(key="c"))
+        reloaded = CacheStore(path)
+        assert reloaded.get("a") is not None and reloaded.get("c") is not None
+        assert reloaded.get("b") is None
+        client = WikidataClient(
+            cache=reloaded, label_map=label_map, mode=Mode.OFFLINE, transport=FailingTransport()
+        )
+        assert client.query_country("c").status is CacheStatus.HIT
+
 
 class TestLabelMap:
     def test_canada_maps(self, label_map):
@@ -243,6 +259,18 @@ class TestQueryCountry:
         entry = client.query_country("McGill University")
         assert entry.status is CacheStatus.ERROR
         assert transport.calls == 1
+
+    def test_unusable_endpoint_neither_retried_nor_cached(self, label_map):
+        sleeps = []
+        client = WikidataClient(
+            cache=CacheStore(), label_map=label_map, endpoint="query.wikidata.org/sparql",
+            rate_limit=0, sleep=sleeps.append,
+        )
+        entry = client.query_country("McGill University")
+        assert entry.status is CacheStatus.ERROR
+        assert entry.detail.startswith("transport error:")
+        assert sleeps == []
+        assert len(client.cache) == 0
 
     def test_malformed_body_not_cached(self, label_map):
         transport = ScriptedTransport([TransportResponse(200, "<html>oops</html>")])
