@@ -17,7 +17,6 @@ from ircmap.ingest import (
     IngestError,
     NormalizedAffiliation,
     ParseReport,
-    Source,
     normalize_affiliation,
     parse_records,
     token_key,
@@ -80,7 +79,6 @@ __all__ = [
     "RateLimiter",
     "ReplayTransport",
     "Resolution",
-    "Source",
     "SparqlQuery",
     "TransportError",
     "WikidataClient",

@@ -6,8 +6,11 @@ the pipeline samples or depends on wall-clock state, so reruns are
 bit-stable, and every run writes a ``manifest.json`` (configuration echo,
 input digests, output counts) that makes a run reproducible exactly.
 
-Exit code 0 means every requested artifact was fully written; on failure,
-partial outputs are removed.
+Each stage writes into a staging directory inside ``--output`` and commits
+once: its files appear together with their ``manifest.json``, or not at all.
+A stage that fails or is interrupted leaves the output directory as it was;
+one killed outright can leave only a hidden ``.ircmap-<pid>.tmp`` directory.
+Exit code 0 means every requested artifact was fully written.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Optional
 from urllib.parse import urlsplit
@@ -88,40 +92,49 @@ def _sha256(path: Path) -> str:
 
 
 class OutputSet:
-    """Tracks written artifacts so failures can clean up partial output."""
+    """One stage's outputs, staged in ``stage`` and committed together.
+
+    A stage's files appear in ``out_dir`` together with their manifest, or
+    not at all.  Writers put every file into ``stage``, a hidden directory
+    inside ``out_dir``, so each ``os.replace`` of ``commit`` stays on one
+    filesystem.  ``commit`` deletes the old manifest, moves the staged files
+    into place and moves ``manifest.json`` last, as the commit marker.
+    Leaving the ``with`` block, by any exception too, deletes whatever is
+    still staged and the staging directory.  Only a process killed outright
+    (SIGKILL) can leave a ``.ircmap-<pid>.tmp`` directory behind.
+    """
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.paths: list[Path] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
+        self.stage = out_dir / f".ircmap-{os.getpid()}.tmp"
 
-    def track(self, *paths: Path) -> None:
-        self.paths.extend(paths)
+    def __enter__(self) -> "OutputSet":
+        self.stage.mkdir(parents=True)
+        return self
 
-    def discard_all(self) -> None:
-        for path in self.paths:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
+    def __exit__(self, *exc_info) -> None:
+        for path in self.stage.iterdir():
+            path.unlink()
+        self.stage.rmdir()
 
-    def write_manifest(self, config: RunConfig, inputs: list[Path], counts: dict) -> Path:
+    def commit(self, config: RunConfig, inputs: list[Path], counts: dict) -> None:
+        names = sorted(path.name for path in self.stage.iterdir())
         manifest = {
             "tool": "ircmap",
             "version": __version__,
             "subcommand": config.subcommand,
             "config": asdict(config),
             "inputs": {str(p): _sha256(p) for p in inputs},
-            "outputs": sorted(p.name for p in self.paths),
+            "outputs": names,
             "counts": counts,
         }
-        path = self.out_dir / "manifest.json"
-        path.write_text(
+        (self.stage / "manifest.json").write_text(
             json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-        self.track(path)
-        return path
+        (self.out_dir / "manifest.json").unlink(missing_ok=True)
+        for name in names + ["manifest.json"]:
+            os.replace(self.stage / name, self.out_dir / name)
 
 
 def _require_input(path_str: str) -> Path:
@@ -145,8 +158,7 @@ def _records_list(path: Path, fmt: str) -> list:
 
 def cmd_prepare(config: RunConfig) -> int:
     in_path = _require_input(config.input)
-    out = OutputSet(Path(config.output))
-    try:
+    with OutputSet(Path(config.output)) as out:
         records = _records_list(in_path, config.format)
         if not records:
             raise CliError(f"no records parsed from {in_path}")
@@ -169,9 +181,7 @@ def cmd_prepare(config: RunConfig) -> int:
             stream = dedup_overlap(stream, DedupIndex.from_records(secondary), stats)
         stream = filter_coauthored(stream, stats)
 
-        corpus_path = out.out_dir / "prepared.jsonl"
-        out.track(corpus_path)
-        with open(corpus_path, "w", encoding="utf-8") as handle:
+        with open(out.stage / "prepared.jsonl", "w", encoding="utf-8") as handle:
             for record in stream:
                 stats.output_records += 1
                 handle.write(
@@ -189,13 +199,13 @@ def cmd_prepare(config: RunConfig) -> int:
                     )
                     + "\n"
                 )
-        out.track(*write_prep_report(out.out_dir, stats))
+        write_prep_report(out.stage, stats)
         inputs = [in_path]
         if config.overlap:
             inputs.append(Path(config.overlap))
         if config.dedup_against:
             inputs.append(Path(config.dedup_against))
-        out.write_manifest(
+        out.commit(
             config,
             inputs,
             {
@@ -207,9 +217,6 @@ def cmd_prepare(config: RunConfig) -> int:
                 "no_author_data": stats.no_author_data,
             },
         )
-    except Exception:
-        out.discard_all()
-        raise
     print(f"prepared {stats.output_records} of {stats.total_works} records -> {out.out_dir}")
     return 0
 
@@ -236,40 +243,32 @@ def _build_client(config: RunConfig, gazetteer) -> WikidataClient:
 
 def cmd_resolve(config: RunConfig) -> int:
     in_path = _require_input(config.input)
-    out = OutputSet(Path(config.output))
-    try:
+    with OutputSet(Path(config.output)) as out:
         data_dir = Path(config.gazetteer) if config.gazetteer else default_data_dir()
         gazetteer = build_gazetteer(data_dir, include_extension=config.extended_parts)
         client = _build_client(config, gazetteer)
 
         reader = parse_records(in_path, Format(config.format))
         run = resolve_corpus(reader, gazetteer, client, jobs=config.jobs)
-        enriched_path = out.out_dir / "enriched.jsonl"
-        out.track(enriched_path)
-        csv_handle = None
-        csv_writer = None
-        if config.emit_csv:
-            import csv as _csv
+        with ExitStack() as files:
+            handle = files.enter_context(open(out.stage / "enriched.jsonl", "w", encoding="utf-8"))
+            csv_writer = None
+            if config.emit_csv:
+                import csv as _csv
 
-            csv_path = out.out_dir / "enriched.csv"
-            out.track(csv_path)
-            csv_handle = open(csv_path, "w", encoding="utf-8", newline="")
-            csv_writer = _csv.writer(csv_handle)
-            csv_writer.writerow(ENRICHED_FIELDS)
-        try:
-            with open(enriched_path, "w", encoding="utf-8") as handle:
-                for resolution in run:
-                    obj = {field: getattr(resolution, field) for field in ENRICHED_FIELDS}
-                    obj["category"] = resolution.category.value
-                    handle.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
-                    if csv_writer is not None:
-                        csv_writer.writerow([obj[field] for field in ENRICHED_FIELDS])
-        finally:
-            if csv_handle is not None:
-                csv_handle.close()
+                csv_writer = _csv.writer(
+                    files.enter_context(open(out.stage / "enriched.csv", "w", encoding="utf-8", newline=""))
+                )
+                csv_writer.writerow(ENRICHED_FIELDS)
+            for resolution in run:
+                obj = {field: getattr(resolution, field) for field in ENRICHED_FIELDS}
+                obj["category"] = resolution.category.value
+                handle.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+                if csv_writer is not None:
+                    csv_writer.writerow([obj[field] for field in ENRICHED_FIELDS])
         _warn_skipped(in_path, reader)
-        out.track(*write_breakdown(out.out_dir, run.breakdown))
-        out.write_manifest(
+        write_breakdown(out.stage, run.breakdown)
+        out.commit(
             config,
             [in_path],
             {
@@ -277,9 +276,6 @@ def cmd_resolve(config: RunConfig) -> int:
                 **{c.value: run.breakdown.counts[c] for c in Category},
             },
         )
-    except Exception:
-        out.discard_all()
-        raise
     print(f"resolved {run.breakdown.total} mentions -> {out.out_dir}")
     return 0
 
@@ -307,16 +303,15 @@ def _read_enriched(path: Path) -> Iterator[Resolution]:
 
 def cmd_metrics(config: RunConfig) -> int:
     enriched_path = _require_input(config.input)
-    out = OutputSet(Path(config.output))
-    try:
+    with OutputSet(Path(config.output)) as out:
         records = None
         if config.records:
             records = _records_list(_require_input(config.records), config.records_format)
         papers = collapse_to_papers(_read_enriched(enriched_path), records)
         stats = compute_irc(papers)
-        out.track(*write_irc_stats(out.out_dir, stats))
+        write_irc_stats(out.stage, stats)
         inputs = [enriched_path] + ([Path(config.records)] if config.records else [])
-        out.write_manifest(
+        out.commit(
             config,
             inputs,
             {
@@ -326,9 +321,6 @@ def cmd_metrics(config: RunConfig) -> int:
                 "unmeasurable": stats.unmeasurable,
             },
         )
-    except Exception:
-        out.discard_all()
-        raise
     print(f"computed collaboration stats for {stats.total_papers} papers -> {out.out_dir}")
     return 0
 
@@ -406,28 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    endpoint = getattr(args, "endpoint", None) or os.environ.get(ENDPOINT_ENV_VAR) or DEFAULT_ENDPOINT
-    return RunConfig(
-        subcommand=args.subcommand,
-        input=args.input,
-        format=getattr(args, "format", Format.GENERIC_JSONL.value),
-        output=getattr(args, "output", ""),
-        gazetteer=getattr(args, "gazetteer", None),
-        extended_parts=getattr(args, "extended_parts", False),
-        cache=getattr(args, "cache", None),
-        endpoint=endpoint,
-        offline=getattr(args, "offline", False),
-        rate_limit=getattr(args, "rate_limit", 2.0),
-        jobs=max(1, getattr(args, "jobs", 1) or 1),
-        top_k_fos=getattr(args, "top_k_fos", None),
-        overlap=getattr(args, "overlap", None),
-        overlap_format=getattr(args, "overlap_format", Format.GENERIC_JSONL.value),
-        dedup_against=getattr(args, "dedup_against", None),
-        dedup_format=getattr(args, "dedup_format", Format.GENERIC_JSONL.value),
-        records=getattr(args, "records", None),
-        records_format=getattr(args, "records_format", Format.GENERIC_JSONL.value),
-        emit_csv=getattr(args, "emit_csv", False),
-    )
+    given = vars(args)
+    config = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
+    config.endpoint = given.get("endpoint") or os.environ.get(ENDPOINT_ENV_VAR) or DEFAULT_ENDPOINT
+    config.jobs = max(1, config.jobs)
+    return config
 
 
 COMMANDS = {

@@ -45,7 +45,6 @@ __all__ = [
     "NormalizedAffiliation",
     "ParseReport",
     "RecordReader",
-    "Source",
     "normalize_affiliation",
     "parse_records",
     "token_key",
@@ -54,12 +53,6 @@ __all__ = [
 
 class IngestError(Exception):
     """Unreadable input or unknown format."""
-
-
-class Source(str, Enum):
-    ACM = "ACM"
-    MAG = "MAG"
-    GENERIC = "GENERIC"
 
 
 class Format(str, Enum):
@@ -144,7 +137,6 @@ class BibRecord:
     """One publication with its authors' affiliation mentions."""
 
     paper_id: str
-    source: Source = Source.GENERIC
     title: str = ""
     year: int | None = None
     fos_terms: frozenset[str] = frozenset()
@@ -238,14 +230,14 @@ def _format_records(stream: IO[str], fmt: Format, report: ParseReport) -> Iterat
     if fmt is Format.MAG_TSV:
         lines = (line.rstrip("\n").rstrip("\r") for line in stream)
         rows = (_mag_row(line.split("\t")) for line in lines if line)
-        return _iter_rowwise(rows, report, Source.MAG)
+        return _iter_rowwise(rows, report)
     reader = csv.DictReader(stream)
     if reader.fieldnames is None:
         raise IngestError("csv input has no header row")
     missing = {"paper_id", "author_index", "affiliation"} - set(reader.fieldnames)
     if missing:
         raise IngestError(f"csv header missing columns: {sorted(missing)}")
-    return _iter_rowwise(map(_csv_row, reader), report, Source.GENERIC)
+    return _iter_rowwise(map(_csv_row, reader), report)
 
 
 def _releasing(records: Iterator[BibRecord], release: Callable[[], object]) -> Iterator[BibRecord]:
@@ -297,7 +289,6 @@ def _iter_jsonl(stream: IO[str], report: ParseReport) -> Iterator[tuple[BibRecor
         doi = obj.get("doi")
         record = BibRecord(
             paper_id=paper_id,
-            source=Source.GENERIC,
             title=str(obj.get("title") or ""),
             year=_parse_year(obj.get("year")) if obj.get("year") is not None else None,
             fos_terms=_parse_fos(obj.get("fos")),
@@ -369,7 +360,6 @@ def _valid_rows(rows: Iterable[_Row | None], report: ParseReport) -> Iterator[_R
 def _iter_rowwise(
     rows: Iterable[_Row | None],
     report: ParseReport,
-    source: Source,
 ) -> Iterator[tuple[BibRecord, int]]:
     """Group contiguous mention-level rows by paper id; ``None`` is a bad row.
 
@@ -387,7 +377,6 @@ def _iter_rowwise(
         _, _, _, title, year, fos_terms, doi = group[0]
         record = BibRecord(
             paper_id=paper_id,
-            source=source,
             title=title,
             year=year,
             fos_terms=fos_terms,

@@ -54,7 +54,7 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def write_prep_report(out_dir: Path, stats: PrepStats) -> list[Path]:
+def write_prep_report(out_dir: Path, stats: PrepStats) -> None:
     """Dataset summary: total works, date range, co-authored works kept."""
     rows = [
         ("Total works", stats.total_works),
@@ -74,60 +74,39 @@ def write_prep_report(out_dir: Path, stats: PrepStats) -> list[Path]:
             "no_author_data": stats.no_author_data,
         },
     }
-    json_path = out_dir / "prep_report.json"
-    csv_path = out_dir / "prep_report.csv"
-    txt_path = out_dir / "prep_report.txt"
-    _write_json(json_path, payload)
-    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
+    _write_json(out_dir / "prep_report.json", payload)
+    with open(out_dir / "prep_report.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["feature", "value"])
         writer.writerows(rows)
-    txt_path.write_text(render_aligned(rows, header=("Feature", "Value")), encoding="utf-8")
-    return [json_path, csv_path, txt_path]
+    (out_dir / "prep_report.txt").write_text(
+        render_aligned(rows, header=("Feature", "Value")), encoding="utf-8"
+    )
 
 
-def write_breakdown(out_dir: Path, breakdown: IdentificationBreakdown) -> list[Path]:
+def write_breakdown(out_dir: Path, breakdown: IdentificationBreakdown) -> None:
     """Identification breakdown: one row per category, plus the total row."""
     rows = breakdown.rows()
-    payload = {
-        "total": breakdown.total,
-        "rows": [
-            {
-                "category": row["category"],
-                "label": row["label"],
-                "count": row["count"],
-                "pct": row["pct"],
-            }
-            for row in rows
-        ],
-    }
+    payload = {"total": breakdown.total, "rows": rows}
     table = [(TOTAL_LABEL, breakdown.total, "")]
     table += [(row["label"], row["count"], f"{row['pct']:.2f}%") for row in rows]
-    json_path = out_dir / "breakdown.json"
-    csv_path = out_dir / "breakdown.csv"
-    txt_path = out_dir / "breakdown.txt"
-    _write_json(json_path, payload)
-    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
+    _write_json(out_dir / "breakdown.json", payload)
+    with open(out_dir / "breakdown.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["result", "count", "pct"])
         writer.writerow([TOTAL_LABEL, breakdown.total, ""])
         for row in rows:
             writer.writerow([row["label"], row["count"], f"{row['pct']:.2f}"])
-    txt_path.write_text(
+    (out_dir / "breakdown.txt").write_text(
         render_aligned(table, header=("Results", "Count", "Pct")), encoding="utf-8"
     )
-    return [json_path, csv_path, txt_path]
 
 
-def write_irc_stats(out_dir: Path, stats: IrcStats) -> list[Path]:
+def write_irc_stats(out_dir: Path, stats: IrcStats) -> None:
     """Collaboration statistics: JSON document plus per-year and pair CSVs."""
     payload = stats.to_json_dict()
-    json_path = out_dir / "irc_stats.json"
-    per_year_path = out_dir / "irc_per_year.csv"
-    pairs_path = out_dir / "irc_pairs.csv"
-    txt_path = out_dir / "irc_stats.txt"
-    _write_json(json_path, payload)
-    with open(per_year_path, "w", encoding="utf-8", newline="") as handle:
+    _write_json(out_dir / "irc_stats.json", payload)
+    with open(out_dir / "irc_per_year.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["year", "total", "international", "domestic", "unmeasurable", "irc_ratio"])
         for year, ys in payload["per_year"].items():
@@ -135,7 +114,7 @@ def write_irc_stats(out_dir: Path, stats: IrcStats) -> list[Path]:
             writer.writerow(
                 [year, ys["total"], ys["international"], ys["domestic"], ys["unmeasurable"], ratio]
             )
-    with open(pairs_path, "w", encoding="utf-8", newline="") as handle:
+    with open(out_dir / "irc_pairs.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["country_a", "country_b", "papers"])
         for pair, count in payload["pair_counts"].items():
@@ -149,5 +128,6 @@ def write_irc_stats(out_dir: Path, stats: IrcStats) -> list[Path]:
         ("Unmeasurable (no resolved country)", stats.unmeasurable),
         ("IRC ratio", "n/a" if ratio is None else f"{ratio:.4f}"),
     ]
-    txt_path.write_text(render_aligned(table, header=("Measure", "Value")), encoding="utf-8")
-    return [json_path, per_year_path, pairs_path, txt_path]
+    (out_dir / "irc_stats.txt").write_text(
+        render_aligned(table, header=("Measure", "Value")), encoding="utf-8"
+    )

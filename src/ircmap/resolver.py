@@ -60,6 +60,9 @@ logger = logging.getLogger(__name__)
 
 MAX_WINDOW = 3
 
+#: Mentions normalized and matched per batch, before the batch's lookups run.
+_CHUNK_SIZE = 8192
+
 #: Tokens that cannot carry a knowledge-graph fragment on their own.
 FRAGMENT_STOPWORDS = frozenset(
     "a an and at de der das die du del della des di e el et for in la le of on the und".split()
@@ -293,7 +296,6 @@ def resolve_corpus(
     g: Gazetteer,
     client: Optional[WikidataClient] = None,
     jobs: int = 1,
-    chunk_size: int = 8192,
 ) -> ResolutionRun:
     """Resolve every mention of a record stream, in input order.
 
@@ -314,7 +316,7 @@ def resolve_corpus(
         lookup = pool.map if pool is not None else map
         try:
             while True:
-                chunk = list(islice(mentions, chunk_size))
+                chunk = list(islice(mentions, _CHUNK_SIZE))
                 if not chunk:
                     break
                 keys = []

@@ -449,13 +449,11 @@ class WikidataClient:
                     self.endpoint, params={"query": query.text}, headers=self.headers
                 )
             except TransportError as exc:
-                last_error = f"transport error: {exc}"
                 if isinstance(exc.__cause__, ValueError):
                     # An unusable endpoint URL never starts working: no retry, no cache.
-                    return (
-                        CacheEntry(key, (), CacheStatus.ERROR, self._now().isoformat(), last_error),
-                        False,
-                    )
+                    note = "unusable endpoint URL"  # urllib's message quotes the whole query URL
+                    return CacheEntry(key, (), CacheStatus.ERROR, self._now().isoformat(), note), False
+                last_error = f"transport error: {exc}"
                 continue
             if response.status_code == 200:
                 try:

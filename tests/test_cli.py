@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ircmap
+import ircmap.resolver
 from ircmap.cli import main
 from ircmap.wikidata import CacheEntry, CacheStatus, CacheStore
 
@@ -30,6 +35,18 @@ def _paper(pid, affiliations, year=2005, fos=("ai",), title=None):
         "fos": list(fos),
         "authors": [{"affiliation": a} for a in affiliations],
     }
+
+
+def _snapshot(directory: Path) -> dict:
+    """Every entry of ``directory``: file bytes, or None for a subdirectory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
+def _src_env(**extra) -> dict:
+    """The environment for a subprocess that imports this checkout's ``ircmap``."""
+    src = str(Path(ircmap.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture
@@ -199,6 +216,34 @@ class TestResolve:
         for name in ("enriched.jsonl", "breakdown.json", "breakdown.csv", "breakdown.txt"):
             assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
 
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_failed_run_leaves_previous_outputs(self, tmp_path, warm_cache, monkeypatch, error):
+        # 10,000 distinct strings: the failure comes in the second chunk, after rows were written.
+        corpus = _write_jsonl(
+            tmp_path / "corpus.jsonl",
+            [_paper(f"p{i}", [f"Lab {i}, Canada", f"Unit {i}, Oslo, Norway"]) for i in range(5000)],
+        )
+        out = tmp_path / "out"
+        argv = ["resolve", "--input", str(corpus), "--output", str(out),
+                "--cache", str(warm_cache), "--offline", "--emit-csv"]
+        assert main(argv) == 0
+        before = _snapshot(out)
+        match_step1, calls = ircmap.resolver.match_step1, itertools.count(1)
+
+        def failing(n, g):
+            if next(calls) == 9000:
+                raise error("stopped at the 9000th step-1 match")
+            return match_step1(n, g)
+
+        monkeypatch.setattr(ircmap.resolver, "match_step1", failing)
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 1
+        assert next(calls) > 9000
+        assert _snapshot(out) == before
+
     def test_duplicate_paper_id_keeps_first_record(self, tmp_path, warm_cache, caplog):
         corpus = _write_jsonl(
             tmp_path / "c.jsonl",
@@ -311,6 +356,19 @@ class TestMetrics:
         assert "Traceback" not in caplog.text
         assert not (out / "irc_stats.json").exists()
 
+    def test_failed_run_leaves_previous_outputs(self, tmp_path, warm_cache):
+        corpus, enriched = self._resolve_fixture(tmp_path, warm_cache)
+        out = tmp_path / "stats"
+        argv = ["metrics", "--input", str(enriched), "--records", str(corpus), "--output", str(out)]
+        assert main(argv) == 0
+        before = _snapshot(out)
+        ghost = {"paper_id": "ghost", "author_index": 0, "raw": "Oslo, Norway", "category": "CountryName",
+                 "iso2": "NO", "evidence": "norway", "ambiguous": False}
+        with open(enriched, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(ghost) + "\n")
+        assert main(argv) == 1
+        assert _snapshot(out) == before
+
     def test_per_year_csv_sums_to_global(self, tmp_path, warm_cache):
         corpus, enriched = self._resolve_fixture(tmp_path, warm_cache)
         out = tmp_path / "stats"
@@ -419,11 +477,65 @@ for argv in (
     assert ircmap.cli.main(argv) == 0, argv
 print(sorted(m for m in ("urllib.request", "http.client", "requests") if m in sys.modules))
 """
-    src = str(Path(ircmap.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-c", script, str(corpus), str(warm_cache), str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_manifest_lists_exactly_the_stage_outputs(corpus_20, tmp_path, warm_cache):
+    prep, resolved, stats = tmp_path / "prep", tmp_path / "resolved", tmp_path / "stats"
+    prepared = str(prep / "prepared.jsonl")
+    assert main(["prepare", "--input", str(corpus_20), "--output", str(prep)]) == 0
+    assert main(["resolve", "--input", prepared, "--output", str(resolved),
+                 "--cache", str(warm_cache), "--offline", "--emit-csv"]) == 0
+    assert main(["metrics", "--input", str(resolved / "enriched.jsonl"), "--records", prepared,
+                 "--output", str(stats)]) == 0
+    for out in (prep, resolved, stats):
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
+class _HeldEndpoint(BaseHTTPRequestHandler):
+    """Holds every GET open, without answering, until the test releases it."""
+
+    def do_GET(self):  # noqa: N802 (http.server naming)
+        self.server.arrived.set()
+        self.server.release.wait(30)
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+
+def test_killed_resolve_commits_nothing(tmp_path):
+    """SIGKILL while a lookup is in flight: no enriched.jsonl and no manifest appear."""
+    corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", "McGill University"])])
+    out = tmp_path / "out"
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _HeldEndpoint)
+    server.arrived, server.release = threading.Event(), threading.Event()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    argv = ["resolve", "--input", str(corpus), "--output", str(out), "--cache", str(tmp_path / "cache.jsonl"),
+            "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/sparql", "--jobs", "1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys, ircmap.cli; sys.exit(ircmap.cli.main(sys.argv[1:]))", *argv],
+        env=_src_env(no_proxy="127.0.0.1"), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        assert server.arrived.wait(60), "resolve never sent its lookup"
+        proc.kill()
+        proc.wait(30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(30)
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(5)
+    assert not thread.is_alive()
+    assert proc.returncode == -signal.SIGKILL
+    assert not (out / "enriched.jsonl").exists()
+    assert not (out / "manifest.json").exists()

@@ -17,7 +17,6 @@ from ircmap.ingest import (
     NULL_SYNONYMS,
     Format,
     IngestError,
-    Source,
     normalize_affiliation,
     parse_records,
     token_key,
@@ -152,7 +151,6 @@ class TestParseRecords:
         line = "42\t0\tMcGill University\tSome Paper\t2016\tcomputer science|databases\n"
         reader = parse_records(io.StringIO(line), Format.MAG_TSV)
         (record,) = list(reader)
-        assert record.source is Source.MAG
         assert record.mentions[0].raw == "McGill University"
         assert record.year == 2016
         assert record.fos_terms == frozenset({"computer science", "databases"})

@@ -12,6 +12,8 @@ from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
+from ircmap.ingest import AffiliationMention
+from ircmap.resolver import Category, resolve
 from ircmap.wikidata import (
     CacheEntry,
     CacheStatus,
@@ -260,7 +262,7 @@ class TestQueryCountry:
         assert entry.status is CacheStatus.ERROR
         assert transport.calls == 1
 
-    def test_unusable_endpoint_neither_retried_nor_cached(self, label_map):
+    def test_unusable_endpoint_neither_retried_nor_cached(self, label_map, gazetteer):
         sleeps = []
         client = WikidataClient(
             cache=CacheStore(), label_map=label_map, endpoint="query.wikidata.org/sparql",
@@ -268,9 +270,12 @@ class TestQueryCountry:
         )
         entry = client.query_country("McGill University")
         assert entry.status is CacheStatus.ERROR
-        assert entry.detail.startswith("transport error:")
+        assert entry.detail == "unusable endpoint URL"
         assert sleeps == []
         assert len(client.cache) == 0
+        # The row's evidence is the short note, not urllib's message quoting the whole query.
+        row = resolve(AffiliationMention("p", 0, "Dept of CS, McGill University"), gazetteer, client)
+        assert (row.category, row.evidence) == (Category.UNIDENTIFIED, "unusable endpoint URL")
 
     def test_malformed_body_not_cached(self, label_map):
         transport = ScriptedTransport([TransportResponse(200, "<html>oops</html>")])
