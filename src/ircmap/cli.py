@@ -30,10 +30,10 @@ from urllib.parse import urlsplit
 from ircmap import __version__
 from ircmap.gazetteer import build_gazetteer, default_data_dir
 from ircmap.ingest import Format, IngestError, parse_records
-from ircmap.metrics import ConsistencyError, collapse_to_papers, compute_irc
+from ircmap.metrics import ConsistencyError, MentionCountry, collapse_to_papers, compute_irc
 from ircmap.prep import DedupIndex, PrepStats, compute_fos_filter, dedup_overlap, filter_by_fos, filter_coauthored
 from ircmap.reports import write_breakdown, write_irc_stats, write_prep_report
-from ircmap.resolver import Category, Resolution, resolve_corpus
+from ircmap.resolver import Category, check_outcome, resolve_corpus
 from ircmap.wikidata import (
     CACHE_DIR_ENV_VAR,
     DEFAULT_ENDPOINT,
@@ -109,7 +109,13 @@ class OutputSet:
         self.stage = out_dir / f".ircmap-{os.getpid()}.tmp"
 
     def __enter__(self) -> "OutputSet":
-        self.stage.mkdir(parents=True)
+        try:
+            self.stage.mkdir(parents=True)
+        except FileExistsError:
+            raise CliError(
+                f"staging directory {self.stage} already exists; it is left over from a killed run "
+                "and can be deleted"
+            ) from None
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -280,25 +286,20 @@ def cmd_resolve(config: RunConfig) -> int:
     return 0
 
 
-def _read_enriched(path: Path) -> Iterator[Resolution]:
+def _read_enriched(path: Path) -> Iterator[MentionCountry]:
+    """Each row's paper and country, after the checks a ``Resolution`` makes."""
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                resolution = Resolution(
-                    paper_id=obj["paper_id"],
-                    author_index=int(obj["author_index"]),
-                    raw=obj.get("raw", ""),
-                    category=Category(obj["category"]),
-                    iso2=obj.get("iso2"),
-                    evidence=obj.get("evidence", ""),
-                    ambiguous=bool(obj.get("ambiguous", False)),
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                row = MentionCountry(obj["paper_id"], obj.get("iso2"))
+                int(obj["author_index"])  # checked as a Resolution would, not kept
+                check_outcome(Category(obj["category"]), row.iso2, obj.get("evidence", ""))
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CliError(f"{path}:{lineno}: bad enriched row: {exc}") from exc
-            yield resolution
+            yield row
 
 
 def cmd_metrics(config: RunConfig) -> int:

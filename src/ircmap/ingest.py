@@ -159,18 +159,28 @@ def _parse_year(value: object) -> int | None:
     return year if YEAR_MIN <= year <= YEAR_MAX else None
 
 
-def _parse_fos(terms: object) -> frozenset[str]:
+#: Distinct FOS terms one reader remembers; its memo is cleared when full.
+_FOS_MEMO_SIZE = 1 << 14
+
+
+def _parse_fos(terms: object, memo: dict[str, str]) -> frozenset[str]:
+    """FOS keys of ``terms`` (a ``|``-separated string or a list), via ``memo``.
+
+    ``memo`` maps each term to its ``token_key``; it holds at most
+    ``_FOS_MEMO_SIZE`` terms.
+    """
     if terms is None:
         return frozenset()
-    if isinstance(terms, str):
-        parts = terms.split("|")
-    else:
-        parts = list(terms)
     out = set()
-    for term in parts:
-        key = token_key(str(term))
-        if key:
-            out.add(key)
+    for term in terms.split("|") if isinstance(terms, str) else terms:
+        term = str(term)
+        key = memo.get(term)
+        if key is None:
+            if len(memo) >= _FOS_MEMO_SIZE:
+                memo.clear()
+            key = memo[term] = token_key(term)
+        out.add(key)
+    out.discard("")
     return frozenset(out)
 
 
@@ -200,6 +210,10 @@ def parse_records(
     are skipped and counted in the report.  A file opened from a path is
     closed once the stream is exhausted or closed; a caller's stream, text or
     binary, is left open.
+
+    Each reader keeps its own memo from FOS term to key, so a term repeated
+    across records is normalized once.  The memo holds at most
+    ``_FOS_MEMO_SIZE`` terms and is cleared when full; readers share none.
     """
     try:
         fmt = Format(fmt)
@@ -216,7 +230,7 @@ def parse_records(
     elif stream is not source:
         release = stream.detach  # closing the text wrapper would close the caller's binary stream
     try:
-        records = _first_per_id(_format_records(stream, fmt, report), report)
+        records = _first_per_id(_format_records(stream, fmt, report, fos_memo={}), report)
     except BaseException:
         if release is not None:
             release()
@@ -224,12 +238,14 @@ def parse_records(
     return RecordReader(records if release is None else _releasing(records, release), report)
 
 
-def _format_records(stream: IO[str], fmt: Format, report: ParseReport) -> Iterator[tuple[BibRecord, int]]:
+def _format_records(
+    stream: IO[str], fmt: Format, report: ParseReport, fos_memo: dict[str, str]
+) -> Iterator[tuple[BibRecord, int]]:
     if fmt is Format.GENERIC_JSONL:
-        return _iter_jsonl(stream, report)
+        return _iter_jsonl(stream, report, fos_memo)
     if fmt is Format.MAG_TSV:
         lines = (line.rstrip("\n").rstrip("\r") for line in stream)
-        rows = (_mag_row(line.split("\t")) for line in lines if line)
+        rows = (_mag_row(line.split("\t"), fos_memo) for line in lines if line)
         return _iter_rowwise(rows, report)
     reader = csv.DictReader(stream)
     if reader.fieldnames is None:
@@ -237,7 +253,7 @@ def _format_records(stream: IO[str], fmt: Format, report: ParseReport) -> Iterat
     missing = {"paper_id", "author_index", "affiliation"} - set(reader.fieldnames)
     if missing:
         raise IngestError(f"csv header missing columns: {sorted(missing)}")
-    return _iter_rowwise(map(_csv_row, reader), report)
+    return _iter_rowwise((_csv_row(row, fos_memo) for row in reader), report)
 
 
 def _releasing(records: Iterator[BibRecord], release: Callable[[], object]) -> Iterator[BibRecord]:
@@ -261,7 +277,9 @@ def _open_text(source: Union[str, Path, IO[str], IO[bytes]]) -> IO[str]:
     return source  # duck-typed text stream
 
 
-def _iter_jsonl(stream: IO[str], report: ParseReport) -> Iterator[tuple[BibRecord, int]]:
+def _iter_jsonl(
+    stream: IO[str], report: ParseReport, fos_memo: dict[str, str]
+) -> Iterator[tuple[BibRecord, int]]:
     for line in stream:
         if not line.strip():
             continue
@@ -291,7 +309,7 @@ def _iter_jsonl(stream: IO[str], report: ParseReport) -> Iterator[tuple[BibRecor
             paper_id=paper_id,
             title=str(obj.get("title") or ""),
             year=_parse_year(obj.get("year")) if obj.get("year") is not None else None,
-            fos_terms=_parse_fos(obj.get("fos")),
+            fos_terms=_parse_fos(obj.get("fos"), fos_memo),
             mentions=mentions,
             doi=str(doi) if doi else None,
         )
@@ -302,7 +320,7 @@ def _iter_jsonl(stream: IO[str], report: ParseReport) -> Iterator[tuple[BibRecor
 _Row = tuple[str, int, str, str, "int | None", frozenset, "str | None"]
 
 
-def _mag_row(fields: list[str]) -> _Row | None:
+def _mag_row(fields: list[str], fos_memo: dict[str, str]) -> _Row | None:
     if len(fields) != 6:
         return None
     paper_id = fields[0].strip()
@@ -320,12 +338,12 @@ def _mag_row(fields: list[str]) -> _Row | None:
         fields[2],
         fields[3],
         _parse_year(fields[4]) if fields[4].strip() else None,
-        _parse_fos(fields[5]),
+        _parse_fos(fields[5], fos_memo),
         None,
     )
 
 
-def _csv_row(record: dict) -> _Row | None:
+def _csv_row(record: dict, fos_memo: dict[str, str]) -> _Row | None:
     paper_id = (record.get("paper_id") or "").strip()
     if not paper_id:
         return None
@@ -343,7 +361,7 @@ def _csv_row(record: dict) -> _Row | None:
         record.get("affiliation") or "",
         record.get("title") or "",
         _parse_year(year_raw) if year_raw else None,
-        _parse_fos(record.get("fos") or ""),
+        _parse_fos(record.get("fos") or "", fos_memo),
         doi,
     )
 

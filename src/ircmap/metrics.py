@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Union
 
 from ircmap.ingest import BibRecord
 from ircmap.resolver import Resolution
@@ -19,6 +19,7 @@ from ircmap.resolver import Resolution
 __all__ = [
     "ConsistencyError",
     "IrcStats",
+    "MentionCountry",
     "PaperCountrySet",
     "YearStats",
     "collapse_to_papers",
@@ -30,6 +31,13 @@ class ConsistencyError(Exception):
     """Resolutions and records disagree about which mentions exist."""
 
 
+class MentionCountry(NamedTuple):
+    """The two fields of one enriched row that the statistics read."""
+
+    paper_id: str
+    iso2: Optional[str]
+
+
 @dataclass(frozen=True)
 class PaperCountrySet:
     paper_id: str
@@ -39,16 +47,19 @@ class PaperCountrySet:
 
 
 def collapse_to_papers(
-    resolutions: Iterable[Resolution],
+    resolutions: Iterable[Union[Resolution, MentionCountry]],
     records: Optional[Iterable[BibRecord]] = None,
 ) -> list[PaperCountrySet]:
     """Group mention resolutions into one country set per paper.
 
-    ``unresolved_mentions`` counts the paper's null-like and unidentified
-    mentions.  With ``records``, papers come in record order with the
-    records' years, and a resolution naming a paper that is not in
-    ``records`` is a fatal consistency error.  Without them, papers come in
-    order of first appearance among the resolutions and years are unknown.
+    Reads only ``paper_id`` and ``iso2`` of each resolution, so a
+    :class:`MentionCountry` read back from an enriched file serves as well as
+    a :class:`Resolution`.  ``unresolved_mentions`` counts the paper's
+    mentions without ``iso2``: the null-like and unidentified ones.  With
+    ``records``, papers come in record order with the records' years, and a
+    resolution naming a paper that is not in ``records`` is a fatal
+    consistency error.  Without them, papers come in order of first
+    appearance among the resolutions and years are unknown.
     """
     years: dict[str, Optional[int]] = {}
     by_paper: dict[str, list] = {}  # paper id -> [country set, unresolved count]

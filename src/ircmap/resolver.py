@@ -50,6 +50,7 @@ __all__ = [
     "Resolution",
     "ResolutionRun",
     "Step1Match",
+    "check_outcome",
     "match_step1",
     "resolve",
     "resolve_corpus",
@@ -87,6 +88,18 @@ CATEGORY_LABELS = {
 }
 TOTAL_LABEL = "Affiliations"
 
+_IDENTIFIED = frozenset({Category.COUNTRY_NAME, Category.COMPONENT_PART, Category.WIKIDATA})
+
+
+def check_outcome(category: Category, iso2: Optional[str], evidence: str) -> None:
+    """Raise ``ValueError`` unless ``iso2`` is set exactly for an identified
+    category, and an identified outcome has non-empty ``evidence``."""
+    identified = category in _IDENTIFIED
+    if identified != (iso2 is not None):
+        raise ValueError(f"iso2 must be set iff identified, got {category!r} with iso2={iso2!r}")
+    if identified and not evidence:
+        raise ValueError("identified resolutions need non-empty evidence")
+
 
 @dataclass(frozen=True)
 class Resolution:
@@ -107,15 +120,7 @@ class Resolution:
     ambiguous: bool
 
     def __post_init__(self):
-        identified = self.category in (
-            Category.COUNTRY_NAME,
-            Category.COMPONENT_PART,
-            Category.WIKIDATA,
-        )
-        if identified != (self.iso2 is not None):
-            raise ValueError(f"iso2 must be set iff identified, got {self}")
-        if identified and not self.evidence:
-            raise ValueError("identified resolutions need non-empty evidence")
+        check_outcome(self.category, self.iso2, self.evidence)
 
 
 @dataclass(frozen=True)
@@ -300,9 +305,12 @@ def resolve_corpus(
     """Resolve every mention of a record stream, in input order.
 
     Identical normalized strings are resolved once and reused for the whole
-    run.  Normalization and step 1 always run on the calling thread; with
-    ``jobs > 1`` and an online client, the knowledge-graph lookups for the
-    distinct step-1 misses of each chunk run on ``jobs`` pool threads.
+    run.  Each chunk of ``_CHUNK_SIZE`` mentions keeps a map from raw string
+    to cleaned string, so a raw string repeated within a chunk is normalized
+    once; the map is dropped with its chunk.  Normalization and step 1
+    always run on the calling thread; with ``jobs > 1`` and an online
+    client, the knowledge-graph lookups for the distinct step-1 misses of
+    each chunk run on ``jobs`` pool threads.
     Offline and client-less runs start no pool.  Neither the output nor its
     order depends on ``jobs``.
     """
@@ -319,11 +327,13 @@ def resolve_corpus(
                 chunk = list(islice(mentions, _CHUNK_SIZE))
                 if not chunk:
                     break
-                keys = []
+                cleaned: dict[str, str] = {}  # raw string -> its cleaned form, this chunk only
                 misses: dict[str, str] = {}  # cleaned string -> first raw seen
                 for m in chunk:
+                    if m.raw in cleaned:
+                        continue
                     n = normalize_affiliation(m.raw)
-                    keys.append(n.cleaned)
+                    cleaned[m.raw] = n.cleaned
                     if n.cleaned in memo or n.cleaned in misses:
                         continue
                     outcome = _step1(n, g)
@@ -332,8 +342,8 @@ def resolve_corpus(
                     else:
                         memo[n.cleaned] = outcome
                 memo.update(zip(misses, lookup(lambda raw: _step2(raw, client), misses.values())))
-                for m, key in zip(chunk, keys):
-                    category, iso2, evidence, ambiguous = memo[key]
+                for m in chunk:
+                    category, iso2, evidence, ambiguous = memo[cleaned[m.raw]]
                     breakdown.add(category)
                     yield Resolution(m.paper_id, m.author_index, m.raw, category, iso2, evidence, ambiguous)
         finally:

@@ -369,6 +369,38 @@ class TestMetrics:
         assert main(argv) == 1
         assert _snapshot(out) == before
 
+    _GOOD_ROW = {"paper_id": "p1", "author_index": 0, "raw": "A, Canada", "category": "CountryName",
+                 "iso2": "CA", "evidence": "canada", "ambiguous": False}
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"paper_id": "p1", "author_index": 1,',
+            json.dumps({k: v for k, v in _GOOD_ROW.items() if k != "paper_id"}),
+            json.dumps({**_GOOD_ROW, "author_index": "first"}),
+            json.dumps({**_GOOD_ROW, "category": "Bogus"}),
+            json.dumps({**_GOOD_ROW, "iso2": None}),
+            json.dumps({**_GOOD_ROW, "category": "Unidentified", "evidence": ""}),
+            json.dumps({**_GOOD_ROW, "category": "NullLike", "evidence": ""}),
+            json.dumps({**_GOOD_ROW, "evidence": ""}),
+            json.dumps([_GOOD_ROW]),
+            json.dumps({**_GOOD_ROW, "author_index": None}),
+        ],
+        ids=["bad-json", "no-paper-id", "non-integer-author-index", "unknown-category",
+             "identified-without-iso2", "iso2-on-unidentified", "iso2-on-null-like", "empty-evidence",
+             "not-an-object", "null-author-index"],
+    )
+    def test_bad_enriched_row_is_user_error(self, tmp_path, capsys, caplog, line):
+        enriched = tmp_path / "enriched.jsonl"
+        enriched.write_text(json.dumps(self._GOOD_ROW) + "\n" + line + "\n", encoding="utf-8")
+        out = tmp_path / "stats"
+        capsys.readouterr()
+        assert main(["metrics", "--input", str(enriched), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ircmap: error: {enriched}:2: bad enriched row")
+        assert "Traceback" not in caplog.text
+        assert not any(out.iterdir())
+
     def test_per_year_csv_sums_to_global(self, tmp_path, warm_cache):
         corpus, enriched = self._resolve_fixture(tmp_path, warm_cache)
         out = tmp_path / "stats"
@@ -496,6 +528,25 @@ def test_manifest_lists_exactly_the_stage_outputs(corpus_20, tmp_path, warm_cach
     for out in (prep, resolved, stats):
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
+def test_leftover_staging_directory_is_user_error(corpus_20, tmp_path, capsys, caplog):
+    """A killed run's staging directory under this pid: a clean error, and ``--output`` untouched."""
+    out = tmp_path / "out"
+    argv = ["prepare", "--input", str(corpus_20), "--output", str(out)]
+    assert main(argv) == 0
+    leftover = out / f".ircmap-{os.getpid()}.tmp"
+    leftover.mkdir()
+    (leftover / "prepared.jsonl").write_text("partial", encoding="utf-8")
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ircmap: error: staging directory {leftover} already exists")
+    assert "killed run" in err and "can be deleted" in err
+    assert "Traceback" not in caplog.text
+    assert _snapshot(out) == before
+    assert (leftover / "prepared.jsonl").read_text(encoding="utf-8") == "partial"
 
 
 class _HeldEndpoint(BaseHTTPRequestHandler):

@@ -8,11 +8,13 @@ import sys
 import warnings
 from itertools import groupby
 from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ircmap.ingest as ingest_module
 from ircmap.ingest import (
     NULL_SYNONYMS,
     Format,
@@ -285,3 +287,65 @@ class TestParseRecords:
         assert [r.paper_id for r in records] == [f"p{i}" for i in range(20)]
         total_in = sum(i % 3 for i in range(20))
         assert sum(len(r.mentions) for r in records) == total_in
+
+
+def _fos_input(fmt, papers):
+    """One single-author record per FOS term list, as ``fmt`` input."""
+    if fmt == "jsonl":
+        return "".join(
+            json.dumps({"paper_id": f"p{i}", "fos": terms, "authors": [{"affiliation": "X"}]}) + "\n"
+            for i, terms in enumerate(papers)
+        )
+    return _render(fmt, [(f"p{i}", "0", "X", "T", "2000", "|".join(terms)) for i, terms in enumerate(papers)])
+
+
+_FOS_TERMS = st.one_of(
+    st.builds(
+        lambda base, case, wrap: wrap[0] + case(base) + wrap[1],
+        st.sampled_from(["Machine Learning", "data-bases", "AI", "\uff2d\uff2c", "Café", "x_y"]),
+        st.sampled_from([str, str.upper, str.lower, str.swapcase]),
+        st.sampled_from([("", ""), (" ", "  "), ("(", ")"), ("#TAB#", "."), ("\u3000", ",")]),
+    ),
+    st.sampled_from(["", " ", "-", "NA"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"), blacklist_characters="|"),
+            max_size=12),
+)
+
+
+class TestFosMemo:
+    @pytest.mark.parametrize("fmt", ["jsonl", "mag-tsv", "csv"])
+    @settings(max_examples=40, deadline=None)
+    @given(papers=st.lists(st.lists(_FOS_TERMS, max_size=6), min_size=1, max_size=6),
+           cap=st.sampled_from([1, 2, ingest_module._FOS_MEMO_SIZE]))
+    def test_memoized_keys_equal_token_key(self, fmt, papers, cap):
+        with mock.patch.object(ingest_module, "_FOS_MEMO_SIZE", cap):
+            records = list(parse_records(io.StringIO(_fos_input(fmt, papers)), fmt))
+        assert [r.fos_terms for r in records] == [{token_key(t) for t in terms} - {""} for terms in papers]
+
+    def test_memo_is_per_reader_and_capped(self, monkeypatch):
+        memos = []
+        real = ingest_module._parse_fos
+
+        def spy(terms, memo):
+            result = real(terms, memo)
+            assert len(memo) <= 3
+            memos.append(memo)
+            return result
+
+        monkeypatch.setattr(ingest_module, "_FOS_MEMO_SIZE", 3)
+        monkeypatch.setattr(ingest_module, "_parse_fos", spy)
+        alpha = [[f"Alpha {i % 5}", "Alpha"] for i in range(12)]
+        beta = [[f"Beta {i % 4}"] for i in range(12)]
+        first = iter(parse_records(io.StringIO(_fos_input("jsonl", alpha)), "jsonl"))
+        second = iter(parse_records(io.StringIO(_fos_input("mag-tsv", beta)), "mag-tsv"))
+        readers = {}
+        for a_terms, b_terms in zip(alpha, beta):  # interleaved
+            assert next(first).fos_terms == {token_key(t) for t in a_terms}
+            memo_a = readers.setdefault("first", memos[-1])
+            assert next(second).fos_terms == {token_key(t) for t in b_terms}
+            memo_b = readers.setdefault("second", memos[-1])
+            assert all(term.startswith("Alpha") for term in memo_a)
+            assert all(term.startswith("Beta") for term in memo_b)
+        assert memo_a is not memo_b
+        assert {id(m) for m in memos} == {id(memo_a), id(memo_b)}
+        assert len(memos) == 24

@@ -351,6 +351,41 @@ class TestResolveCorpus:
         ]
         assert memoized == plain
 
+    CHUNKED_RAWS = [
+        ["Paris, France", "paris, france", "Paris, France"], ["NA"],  # chunk 1
+        ["Paris, France", "NA", "NA", "McGill University"],  # chunk 2
+        ["McGill University", "zzqx unknown institute", "Cambridge, MA"],  # chunk 3
+    ]
+
+    def test_each_raw_normalized_once_per_chunk(self, gazetteer, monkeypatch):
+        calls = []
+        real = resolver_module.normalize_affiliation
+
+        def counting(raw):
+            calls.append(raw)
+            return real(raw)
+
+        monkeypatch.setattr(resolver_module, "normalize_affiliation", counting)
+        monkeypatch.setattr(resolver_module, "_CHUNK_SIZE", 4)
+        records = [_record(f"p{i}", raws) for i, raws in enumerate(self.CHUNKED_RAWS)]
+        resolutions = list(resolve_corpus(records, gazetteer, None))
+        assert calls == ["Paris, France", "paris, france", "NA",
+                         "Paris, France", "NA", "McGill University",
+                         "McGill University", "zzqx unknown institute", "Cambridge, MA"]
+        assert [r.raw for r in resolutions] == [raw for raws in self.CHUNKED_RAWS for raw in raws]
+
+    def test_chunked_run_equals_per_mention_resolve(self, gazetteer, make_replay_client, monkeypatch):
+        monkeypatch.setattr(resolver_module, "_CHUNK_SIZE", 4)
+        records = [_record(f"p{i}", raws) for i, raws in enumerate(self.CHUNKED_RAWS)]
+        runs = []
+        for jobs in (1, 2):
+            client, _ = make_replay_client()
+            runs.append(list(resolve_corpus(records, gazetteer, client, jobs=jobs)))
+        client, _ = make_replay_client()
+        expected = [resolve(m, gazetteer, client) for record in records for m in record.mentions]
+        assert runs[0] == runs[1] == expected
+        assert {r.category for r in expected} == set(Category)
+
     def test_parallel_equals_sequential(self, gazetteer, make_replay_client):
         raws = [f"Institute {i % 7}, Canada" for i in range(200)] + ["McGill University"] * 3
         client_a, _ = make_replay_client()
