@@ -23,6 +23,7 @@ import os
 import sys
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterator, Optional
 from urllib.parse import urlsplit
@@ -33,7 +34,7 @@ from ircmap.ingest import Format, IngestError, parse_records
 from ircmap.metrics import ConsistencyError, MentionCountry, collapse_to_papers, compute_irc
 from ircmap.prep import DedupIndex, PrepStats, compute_fos_filter, dedup_overlap, filter_by_fos, filter_coauthored
 from ircmap.reports import write_breakdown, write_irc_stats, write_prep_report
-from ircmap.resolver import Category, check_outcome, resolve_corpus
+from ircmap.resolver import Category, Resolution, check_outcome, resolve_corpus
 from ircmap.wikidata import (
     CACHE_DIR_ENV_VAR,
     DEFAULT_ENDPOINT,
@@ -47,6 +48,34 @@ from ircmap.wikidata import (
 log = logging.getLogger("ircmap")
 
 ENRICHED_FIELDS = ["paper_id", "author_index", "raw", "category", "iso2", "evidence", "ambiguous"]
+
+#: Distinct outcomes one enriched-line memo holds; it is cleared when full.
+_OUTCOME_MEMO_SIZE = 1 << 12
+
+
+def _enriched_line(r: Resolution, memo: dict[tuple, tuple[str, str]]) -> str:
+    """``json.dumps(row, ensure_ascii=False, sort_keys=True) + "\\n"`` for ``r``'s row.
+
+    Sorted, the keys run ``ambiguous, author_index, category, evidence, iso2,
+    paper_id, raw``, so the text before and after ``author_index`` depends on
+    the outcome alone.  ``memo`` maps each outcome to those two pieces and
+    holds at most ``_OUTCOME_MEMO_SIZE`` outcomes.  ``encode_basestring`` is
+    the string encoder ``json.dumps(ensure_ascii=False)`` itself uses.
+    """
+    key = (r.category, r.iso2, r.evidence, r.ambiguous)
+    pieces = memo.get(key)
+    if pieces is None:
+        if len(memo) >= _OUTCOME_MEMO_SIZE:
+            memo.clear()
+        iso2 = "null" if r.iso2 is None else encode_basestring(r.iso2)
+        pieces = memo[key] = (
+            f'{{"ambiguous": {json.dumps(r.ambiguous)}, "author_index": ',
+            f', "category": {encode_basestring(r.category.value)}, '
+            f'"evidence": {encode_basestring(r.evidence)}, "iso2": {iso2}, "paper_id": ',
+        )
+    head, middle = pieces
+    return (f'{head}{r.author_index}{middle}{encode_basestring(r.paper_id)}'
+            f', "raw": {encode_basestring(r.raw)}}}\n')
 
 
 class CliError(Exception):
@@ -116,6 +145,8 @@ class OutputSet:
                 f"staging directory {self.stage} already exists; it is left over from a killed run "
                 "and can be deleted"
             ) from None
+        except NotADirectoryError:
+            raise CliError(f"--output {self.out_dir} is not a directory") from None
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -266,12 +297,13 @@ def cmd_resolve(config: RunConfig) -> int:
                     files.enter_context(open(out.stage / "enriched.csv", "w", encoding="utf-8", newline=""))
                 )
                 csv_writer.writerow(ENRICHED_FIELDS)
-            for resolution in run:
-                obj = {field: getattr(resolution, field) for field in ENRICHED_FIELDS}
-                obj["category"] = resolution.category.value
-                handle.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+            memo = {}
+            for r in run:
+                handle.write(_enriched_line(r, memo))
                 if csv_writer is not None:
-                    csv_writer.writerow([obj[field] for field in ENRICHED_FIELDS])
+                    csv_writer.writerow(
+                        [r.paper_id, r.author_index, r.raw, r.category.value, r.iso2, r.evidence, r.ambiguous]
+                    )
         _warn_skipped(in_path, reader)
         write_breakdown(out.stage, run.breakdown)
         out.commit(
@@ -295,6 +327,8 @@ def _read_enriched(path: Path) -> Iterator[MentionCountry]:
             try:
                 obj = json.loads(line)
                 row = MentionCountry(obj["paper_id"], obj.get("iso2"))
+                if not isinstance(row.paper_id, str):
+                    raise TypeError(f"paper_id is not a string: {row.paper_id!r}")
                 int(obj["author_index"])  # checked as a Resolution would, not kept
                 check_outcome(Category(obj["category"]), row.iso2, obj.get("evidence", ""))
             except (KeyError, TypeError, ValueError) as exc:

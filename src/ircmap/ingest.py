@@ -206,10 +206,11 @@ def parse_records(
 
     Yields records in input order, the first one for each paper id.  Rows
     that violate the format's schema (missing paper id, unparsable author
-    index, wrong column count, bad JSON) or repeat a paper id already yielded
-    are skipped and counted in the report.  A file opened from a path is
-    closed once the stream is exhausted or closed; a caller's stream, text or
-    binary, is left open.
+    index, wrong column count, bad JSON, JSONL ``authors`` not a list or
+    ``fos`` not null, a string or a list) or repeat a paper id already
+    yielded are skipped and counted in the report.  A file opened from a
+    path is closed once the stream is exhausted or closed; a caller's
+    stream, text or binary, is left open.
 
     Each reader keeps its own memo from FOS term to key, so a term repeated
     across records is normalized once.  The memo holds at most
@@ -297,7 +298,8 @@ def _iter_jsonl(
             report.rows_skipped += 1
             continue
         authors = obj.get("authors") or []
-        if not isinstance(authors, list):
+        fos = obj.get("fos")
+        if not isinstance(authors, list) or not (fos is None or isinstance(fos, (str, list))):
             report.rows_skipped += 1
             continue
         mentions = tuple(
@@ -309,7 +311,7 @@ def _iter_jsonl(
             paper_id=paper_id,
             title=str(obj.get("title") or ""),
             year=_parse_year(obj.get("year")) if obj.get("year") is not None else None,
-            fos_terms=_parse_fos(obj.get("fos"), fos_memo),
+            fos_terms=_parse_fos(fos, fos_memo),
             mentions=mentions,
             doi=str(doi) if doi else None,
         )

@@ -11,14 +11,17 @@ import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ircmap
+import ircmap.cli as cli_module
 import ircmap.resolver
-from ircmap.cli import main
+from ircmap.cli import ENRICHED_FIELDS, _enriched_line, main
+from ircmap.resolver import Category, Resolution
 from ircmap.wikidata import CacheEntry, CacheStatus, CacheStore
 
 
@@ -202,6 +205,9 @@ class TestResolve:
         assert obj["iso2"] == "PT"
         header = (out / "enriched.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "paper_id,author_index,raw,category,iso2,evidence,ambiguous"
+        with open(out / "enriched.csv", newline="", encoding="utf-8") as handle:
+            (row,) = csv.DictReader(handle)
+        assert row == {key: "" if value is None else str(value) for key, value in obj.items()}
 
     def test_jobs_do_not_change_output(self, tmp_path, warm_cache):
         corpus = _write_jsonl(
@@ -303,6 +309,57 @@ def test_enriched_raw_is_each_mentions_own_string(papers):
                 assert [row["raw"] for row in csv.DictReader(handle)] == expected
 
 
+#: Text that JSON must escape or may pass through: quotes, backslashes, control
+#: characters, line and paragraph separators, lone surrogates, non-BMP characters.
+_JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00a0", "\u2028", "\u2029",
+                         "\ud800", "\udfff", "\U0001f600", "\U0010ffff", "é"]),
+        st.characters(blacklist_categories=()),
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def _enriched_rows(draw):
+    """Resolutions that share a few outcomes, as a corpus's rows do."""
+    outcomes = []
+    for category in draw(st.lists(st.sampled_from(Category), min_size=1, max_size=6)):
+        identified = category in ircmap.resolver._IDENTIFIED
+        outcomes.append((
+            category,
+            draw(_JSON_TEXT) if identified else None,
+            draw(_JSON_TEXT.filter(bool) if identified else _JSON_TEXT),
+            draw(st.booleans()),
+        ))
+    rows = []
+    for category, iso2, evidence, ambiguous in draw(st.lists(st.sampled_from(outcomes), min_size=1, max_size=20)):
+        rows.append(Resolution(
+            paper_id=draw(_JSON_TEXT),
+            author_index=draw(st.one_of(st.integers(), st.sampled_from([-(10**20), 10**20, 2**63]))),
+            raw=draw(_JSON_TEXT),
+            category=category,
+            iso2=iso2,
+            evidence=evidence,
+            ambiguous=ambiguous,
+        ))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_enriched_rows(), cap=st.sampled_from([1, 2, cli_module._OUTCOME_MEMO_SIZE]))
+def test_enriched_line_equals_json_dumps(rows, cap):
+    """Each line is the row's sorted-key ``json.dumps``; the memo never outgrows its cap."""
+    memo = {}
+    with mock.patch.object(cli_module, "_OUTCOME_MEMO_SIZE", cap):
+        for r in rows:
+            row = {field: getattr(r, field) for field in ENRICHED_FIELDS}
+            row["category"] = r.category.value
+            assert _enriched_line(r, memo) == json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+            assert len(memo) <= cap
+
+
 class TestMetrics:
     def _resolve_fixture(self, tmp_path, warm_cache):
         corpus = _write_jsonl(
@@ -385,10 +442,12 @@ class TestMetrics:
             json.dumps({**_GOOD_ROW, "evidence": ""}),
             json.dumps([_GOOD_ROW]),
             json.dumps({**_GOOD_ROW, "author_index": None}),
+            json.dumps({**_GOOD_ROW, "paper_id": ["p1"]}),
+            json.dumps({**_GOOD_ROW, "paper_id": 1}),
         ],
         ids=["bad-json", "no-paper-id", "non-integer-author-index", "unknown-category",
              "identified-without-iso2", "iso2-on-unidentified", "iso2-on-null-like", "empty-evidence",
-             "not-an-object", "null-author-index"],
+             "not-an-object", "null-author-index", "list-paper-id", "numeric-paper-id"],
     )
     def test_bad_enriched_row_is_user_error(self, tmp_path, capsys, caplog, line):
         enriched = tmp_path / "enriched.jsonl"
@@ -547,6 +606,24 @@ def test_leftover_staging_directory_is_user_error(corpus_20, tmp_path, capsys, c
     assert "Traceback" not in caplog.text
     assert _snapshot(out) == before
     assert (leftover / "prepared.jsonl").read_text(encoding="utf-8") == "partial"
+
+
+@pytest.mark.parametrize("stage", ["prepare", "metrics"])
+def test_output_naming_a_file_is_user_error(corpus_20, tmp_path, capsys, caplog, stage):
+    """``--output`` naming an existing regular file: a clean error, and the file untouched."""
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    if stage == "prepare":
+        argv = ["prepare", "--input", str(corpus_20), "--output", str(taken)]
+    else:
+        enriched = tmp_path / "enriched.jsonl"
+        enriched.write_text("", encoding="utf-8")
+        argv = ["metrics", "--input", str(enriched), "--output", str(taken)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"ircmap: error: --output {taken} is not a directory\n"
+    assert "Traceback" not in caplog.text
+    assert taken.read_bytes() == b"not a directory\n"
 
 
 class _HeldEndpoint(BaseHTTPRequestHandler):

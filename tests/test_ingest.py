@@ -149,6 +149,19 @@ class TestParseRecords:
         assert len(list(reader)) == 1
         assert reader.report.rows_skipped == 1
 
+    @pytest.mark.parametrize("fos", [5, {"a": 1}], ids=["number", "object"])
+    def test_fos_neither_text_nor_list_skipped(self, fos):
+        rows = [
+            {"paper_id": "p1", "fos": fos, "authors": [{"affiliation": "A"}, {"affiliation": "B"}]},
+            {"paper_id": "p2", "fos": "AI|ML", "authors": []},
+            {"paper_id": "p3", "fos": None, "authors": []},
+        ]
+        reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
+        records = list(reader)
+        assert [r.paper_id for r in records] == ["p2", "p3"]
+        assert [r.fos_terms for r in records] == [frozenset({"ai", "ml"}), frozenset()]
+        assert reader.report.rows_skipped == 1
+
     def test_mag_tsv_mention_raw_preserved(self):
         line = "42\t0\tMcGill University\tSome Paper\t2016\tcomputer science|databases\n"
         reader = parse_records(io.StringIO(line), Format.MAG_TSV)
