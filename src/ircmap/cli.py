@@ -318,8 +318,23 @@ def cmd_resolve(config: RunConfig) -> int:
     return 0
 
 
+def _check_row_outcome(category: object, iso2: object, evidence: object) -> None:
+    if not isinstance(category, str):
+        raise TypeError(f"category is not a string: {category!r}")
+    if not (iso2 is None or isinstance(iso2, str)):
+        raise TypeError(f"iso2 is neither null nor a string: {iso2!r}")
+    if not isinstance(evidence, str):
+        raise TypeError(f"evidence is not a string: {evidence!r}")
+    check_outcome(Category(category), iso2, evidence)
+
+
 def _read_enriched(path: Path) -> Iterator[MentionCountry]:
-    """Each row's paper and country, after the checks a ``Resolution`` makes."""
+    """Each row's paper and country, after the checks a ``Resolution`` makes.
+
+    ``category``, ``evidence`` and ``iso2`` (or null) must be strings; a
+    missing ``evidence`` is empty.  Each distinct outcome is checked once.
+    """
+    checked: set[tuple] = set()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -330,7 +345,14 @@ def _read_enriched(path: Path) -> Iterator[MentionCountry]:
                 if not isinstance(row.paper_id, str):
                     raise TypeError(f"paper_id is not a string: {row.paper_id!r}")
                 int(obj["author_index"])  # checked as a Resolution would, not kept
-                check_outcome(Category(obj["category"]), row.iso2, obj.get("evidence", ""))
+                outcome = (obj["category"], row.iso2, obj.get("evidence", ""))
+                try:
+                    known = outcome in checked
+                except TypeError:  # a list or an object is unhashable
+                    known = False
+                if not known:
+                    _check_row_outcome(*outcome)
+                    checked.add(outcome)
             except (KeyError, TypeError, ValueError) as exc:
                 raise CliError(f"{path}:{lineno}: bad enriched row: {exc}") from exc
             yield row
@@ -339,13 +361,13 @@ def _read_enriched(path: Path) -> Iterator[MentionCountry]:
 def cmd_metrics(config: RunConfig) -> int:
     enriched_path = _require_input(config.input)
     with OutputSet(Path(config.output)) as out:
-        records = None
-        if config.records:
-            records = _records_list(_require_input(config.records), config.records_format)
-        papers = collapse_to_papers(_read_enriched(enriched_path), records)
-        stats = compute_irc(papers)
+        records_path = _require_input(config.records) if config.records else None
+        records = parse_records(records_path, Format(config.records_format)) if records_path else None
+        stats = compute_irc(collapse_to_papers(_read_enriched(enriched_path), records))
+        if records is not None:
+            _warn_skipped(records_path, records)
         write_irc_stats(out.stage, stats)
-        inputs = [enriched_path] + ([Path(config.records)] if config.records else [])
+        inputs = [enriched_path] + ([records_path] if records_path else [])
         out.commit(
             config,
             inputs,
@@ -422,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_p = sub.add_parser("metrics", help="compute collaboration statistics")
     metrics_p.add_argument("--input", required=True, help="enriched.jsonl from resolve")
     metrics_p.add_argument("--records", default=None,
-                           help="source corpus (for paper years); recommended")
+                           help="source corpus, for paper years; the enriched rows must follow "
+                                "its record order; recommended")
     metrics_p.add_argument("--records-format", choices=formats, default=Format.GENERIC_JSONL.value)
     metrics_p.add_argument("--output", required=True, help="output directory")
 

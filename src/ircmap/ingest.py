@@ -207,10 +207,11 @@ def parse_records(
     Yields records in input order, the first one for each paper id.  Rows
     that violate the format's schema (missing paper id, unparsable author
     index, wrong column count, bad JSON, JSONL ``authors`` not a list or
-    ``fos`` not null, a string or a list) or repeat a paper id already
-    yielded are skipped and counted in the report.  A file opened from a
-    path is closed once the stream is exhausted or closed; a caller's
-    stream, text or binary, is left open.
+    holding an entry that is neither an object nor empty, ``fos`` not null,
+    a string or a list) or repeat a paper id already yielded are skipped and
+    counted in the report.  A file opened from a path is closed once the
+    stream is exhausted or closed; a caller's stream, text or binary, is
+    left open.
 
     Each reader keeps its own memo from FOS term to key, so a term repeated
     across records is normalized once.  The memo holds at most
@@ -302,10 +303,14 @@ def _iter_jsonl(
         if not isinstance(authors, list) or not (fos is None or isinstance(fos, (str, list))):
             report.rows_skipped += 1
             continue
-        mentions = tuple(
-            AffiliationMention(paper_id, i, str((a or {}).get("affiliation", "")))
-            for i, a in enumerate(authors)
-        )
+        try:
+            mentions = tuple(
+                AffiliationMention(paper_id, i, str((a or {}).get("affiliation", "")))
+                for i, a in enumerate(authors)
+            )
+        except AttributeError:  # an author entry that is neither an object nor empty
+            report.rows_skipped += 1
+            continue
         doi = obj.get("doi")
         record = BibRecord(
             paper_id=paper_id,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from ircmap.ingest import BibRecord
 from ircmap.resolver import Resolution
@@ -49,46 +49,61 @@ class PaperCountrySet:
 def collapse_to_papers(
     resolutions: Iterable[Union[Resolution, MentionCountry]],
     records: Optional[Iterable[BibRecord]] = None,
-) -> list[PaperCountrySet]:
-    """Group mention resolutions into one country set per paper.
+) -> Iterator[PaperCountrySet]:
+    """Group mention resolutions into one country set per paper, lazily.
 
     Reads only ``paper_id`` and ``iso2`` of each resolution, so a
     :class:`MentionCountry` read back from an enriched file serves as well as
     a :class:`Resolution`.  ``unresolved_mentions`` counts the paper's
-    mentions without ``iso2``: the null-like and unidentified ones.  With
-    ``records``, papers come in record order with the records' years, and a
-    resolution naming a paper that is not in ``records`` is a fatal
-    consistency error.  Without them, papers come in order of first
-    appearance among the resolutions and years are unknown.
+    mentions without ``iso2``: the null-like and unidentified ones.
+
+    With ``records``, one merge-join pass yields each paper, in record order
+    with its record's year, as soon as its resolutions end.  They must come
+    in record order, each paper's together, as ``resolve`` writes them; a
+    record with none is an unmeasurable paper.  A duplicate record id, and a
+    resolution naming an unknown paper or one out of record order, are each
+    a fatal :class:`ConsistencyError`.  What grows with the corpus is the
+    set of ids seen: 30 to 60 bytes per record on 64-bit CPython, plus the
+    id string it keeps alive.
+
+    Without ``records``, all resolutions are read first: papers come in
+    order of first appearance, a paper's scattered resolutions are merged,
+    years are unknown, and memory grows with the number of papers.
     """
-    years: dict[str, Optional[int]] = {}
-    by_paper: dict[str, list] = {}  # paper id -> [country set, unresolved count]
-    for record in records or ():
-        if record.paper_id in by_paper:
-            raise ConsistencyError(f"duplicate paper id {record.paper_id!r} in records")
-        years[record.paper_id] = record.year
-        by_paper[record.paper_id] = [set(), 0]
-    for resolution in resolutions:
-        paper = by_paper.get(resolution.paper_id)
-        if paper is None:
-            if records is not None:
-                raise ConsistencyError(
-                    f"resolution references unknown paper {resolution.paper_id!r}"
-                )
-            paper = by_paper[resolution.paper_id] = [set(), 0]
-        if resolution.iso2 is not None:
-            paper[0].add(resolution.iso2)
-        else:
-            paper[1] += 1
-    return [
-        PaperCountrySet(
-            paper_id=paper_id,
-            year=years.get(paper_id),
-            countries=frozenset(countries),
-            unresolved_mentions=unresolved,
-        )
-        for paper_id, (countries, unresolved) in by_paper.items()
-    ]
+    if records is None:
+        by_paper: dict[str, list] = {}  # paper id -> [country set, unresolved count]
+        for resolution in resolutions:
+            paper = by_paper.get(resolution.paper_id)
+            if paper is None:
+                paper = by_paper[resolution.paper_id] = [set(), 0]
+            if resolution.iso2 is not None:
+                paper[0].add(resolution.iso2)
+            else:
+                paper[1] += 1
+        for paper_id, (countries, unresolved) in by_paper.items():
+            yield PaperCountrySet(paper_id, None, frozenset(countries), unresolved)
+        return
+    rows = iter(resolutions)
+    row = next(rows, None)
+    seen: set[str] = set()
+    for record in records:
+        paper_id = record.paper_id
+        if paper_id in seen:
+            raise ConsistencyError(f"duplicate paper id {paper_id!r} in records")
+        seen.add(paper_id)
+        countries: set[str] = set()
+        unresolved = 0
+        while row is not None and row.paper_id == paper_id:
+            if row.iso2 is not None:
+                countries.add(row.iso2)
+            else:
+                unresolved += 1
+            row = next(rows, None)
+        if row is not None and row.paper_id in seen:
+            raise ConsistencyError(f"resolution for paper {row.paper_id!r} is out of record order")
+        yield PaperCountrySet(paper_id, record.year, frozenset(countries), unresolved)
+    if row is not None:
+        raise ConsistencyError(f"resolution references unknown paper {row.paper_id!r}")
 
 
 @dataclass

@@ -124,6 +124,17 @@ class TestPrepare:
         assert report["detail"]["fos_dropped"] == 1
         assert report["detail"]["dedup_dropped"] == 1
 
+    def test_author_that_is_not_an_object_skips_the_record(self, tmp_path, caplog):
+        corpus = _write_jsonl(tmp_path / "corpus.jsonl", [
+            {"paper_id": "p", "authors": ["a", "b"]},
+            _paper("q", ["University A, Canada", "University B, France"]),
+        ])
+        out = tmp_path / "prep"
+        assert main(["prepare", "--input", str(corpus), "--output", str(out)]) == 0
+        prepared = (out / "prepared.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["paper_id"] for line in prepared] == ["q"]
+        assert "skipped 1 malformed or duplicate rows" in caplog.text
+
     def test_manifest_written_with_digests(self, corpus_20, tmp_path):
         out = tmp_path / "out"
         main(["prepare", "--input", str(corpus_20), "--output", str(out)])
@@ -444,10 +455,16 @@ class TestMetrics:
             json.dumps({**_GOOD_ROW, "author_index": None}),
             json.dumps({**_GOOD_ROW, "paper_id": ["p1"]}),
             json.dumps({**_GOOD_ROW, "paper_id": 1}),
+            json.dumps({**_GOOD_ROW, "iso2": ["NO"]}),
+            json.dumps({**_GOOD_ROW, "iso2": 5}),
+            json.dumps({**_GOOD_ROW, "evidence": 7}),
+            json.dumps({**_GOOD_ROW, "evidence": ["canada"]}),
+            json.dumps({**_GOOD_ROW, "category": ["CountryName"]}),
         ],
         ids=["bad-json", "no-paper-id", "non-integer-author-index", "unknown-category",
              "identified-without-iso2", "iso2-on-unidentified", "iso2-on-null-like", "empty-evidence",
-             "not-an-object", "null-author-index", "list-paper-id", "numeric-paper-id"],
+             "not-an-object", "null-author-index", "list-paper-id", "numeric-paper-id",
+             "list-iso2", "numeric-iso2", "numeric-evidence", "list-evidence", "list-category"],
     )
     def test_bad_enriched_row_is_user_error(self, tmp_path, capsys, caplog, line):
         enriched = tmp_path / "enriched.jsonl"
@@ -459,6 +476,43 @@ class TestMetrics:
         assert err.startswith(f"ircmap: error: {enriched}:2: bad enriched row")
         assert "Traceback" not in caplog.text
         assert not any(out.iterdir())
+
+    def test_null_iso2_and_missing_evidence_accepted(self, tmp_path):
+        unidentified = {"paper_id": "p1", "author_index": 1, "raw": "Somewhere", "category": "Unidentified",
+                        "iso2": None}
+        null_like = {"paper_id": "p1", "author_index": 2, "raw": "NA", "category": "NullLike"}
+        enriched = _write_jsonl(tmp_path / "enriched.jsonl", [self._GOOD_ROW, unidentified, null_like])
+        out = tmp_path / "stats"
+        assert main(["metrics", "--input", str(enriched), "--output", str(out)]) == 0
+        stats = json.loads((out / "irc_stats.json").read_text(encoding="utf-8"))
+        assert (stats["total_papers"], stats["domestic"]) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "ghost, message",
+        [
+            (False, "resolution for paper 'p1' is out of record order"),
+            (True, "resolution references unknown paper 'ghost'"),
+        ],
+        ids=["out-of-order", "unknown-paper"],
+    )
+    def test_rows_disagreeing_with_records_are_user_errors(self, tmp_path, warm_cache, capsys, caplog,
+                                                           ghost, message):
+        corpus, enriched = self._resolve_fixture(tmp_path, warm_cache)
+        out = tmp_path / "stats"
+        argv = ["metrics", "--input", str(enriched), "--records", str(corpus), "--output", str(out)]
+        assert main(argv) == 0
+        before = _snapshot(out)
+        rows = [json.loads(line) for line in enriched.read_text(encoding="utf-8").splitlines()]
+        if ghost:
+            rows.append({**rows[0], "paper_id": "ghost"})
+        else:
+            rows.append(rows.pop(0))  # p1's first row after p2's rows
+        _write_jsonl(enriched, rows)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"ircmap: error: {message}\n"
+        assert "Traceback" not in caplog.text
+        assert _snapshot(out) == before
 
     def test_per_year_csv_sums_to_global(self, tmp_path, warm_cache):
         corpus, enriched = self._resolve_fixture(tmp_path, warm_cache)
@@ -667,3 +721,56 @@ def test_killed_resolve_commits_nothing(tmp_path):
     assert proc.returncode == -signal.SIGKILL
     assert not (out / "enriched.jsonl").exists()
     assert not (out / "manifest.json").exists()
+
+
+_PEAK_RSS_CHILD = """
+import json, os, sys
+child = [sys.executable, "-c", "import sys, ircmap.cli; sys.exit(ircmap.cli.main(sys.argv[1:]))", *sys.argv[1:]]
+pid = os.posix_spawn(sys.executable, child, os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss]))
+"""
+
+
+def _metrics_peak_rss_mib(work: Path, papers: int) -> float:
+    """Peak RSS of ``metrics --records`` on ``papers`` synthetic papers of three mentions each.
+
+    A small helper process spawns the CLI and reads its peak from ``wait4``:
+    on Linux a child's peak is at least the RSS of the process that started
+    it, and the test process is large.
+    """
+    countries = ["CA", "NZ", "FR", "DE", None]
+    with open(work / "records.jsonl", "w", encoding="utf-8") as records, \
+            open(work / "enriched.jsonl", "w", encoding="utf-8") as enriched:
+        for i in range(papers):
+            pid = f"paper-{i:07d}"
+            records.write(json.dumps(_paper(pid, [f"Lab {i} {j}, Some University, Canada" for j in range(3)],
+                                            year=1990 + i % 30, title=f"On problem {i}")) + "\n")
+            for j in range(3):
+                iso2 = countries[(i + j) % len(countries)]
+                enriched.write(_enriched_line(Resolution(
+                    pid, j, "x", Category.COUNTRY_NAME if iso2 else Category.UNIDENTIFIED,
+                    iso2, "x" if iso2 else "", False), {}))
+    argv = ["metrics", "--input", str(work / "enriched.jsonl"), "--records", str(work / "records.jsonl"),
+            "--output", str(work / "out")]
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv], capture_output=True, text=True,
+                          env=_src_env(), timeout=300)
+    assert done.returncode == 0, done.stderr
+    code, peak_kib = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stderr
+    return peak_kib / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_metrics_peak_rss_does_not_grow_with_the_corpus(tmp_path):
+    """10x the papers: ``metrics --records`` streams, so its peak RSS grows by a few MiB at most.
+
+    What still grows is two sets of paper ids, the reader's and the merge-join's: about
+    5 MiB from 2,000 to 20,000 papers.  Holding the records and the papers in memory made
+    it grow by about 2 KiB per paper, 35 MiB over the same step.
+    """
+    small, large = tmp_path / "small", tmp_path / "large"
+    small.mkdir()
+    large.mkdir()
+    growth = _metrics_peak_rss_mib(large, 20_000) - _metrics_peak_rss_mib(small, 2_000)
+    assert growth < 12.0, f"peak RSS grew by {growth:.1f} MiB"

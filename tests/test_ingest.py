@@ -162,6 +162,18 @@ class TestParseRecords:
         assert [r.fos_terms for r in records] == [frozenset({"ai", "ml"}), frozenset()]
         assert reader.report.rows_skipped == 1
 
+    @pytest.mark.parametrize("author", ["a", 5, True, ["x"]], ids=["string", "number", "true", "list"])
+    def test_author_neither_object_nor_empty_skipped(self, author):
+        rows = [
+            {"paper_id": "p1", "authors": [{"affiliation": "A"}, author]},
+            {"paper_id": "p2", "authors": [None, {}, "", {"affiliation": "B"}]},
+        ]
+        reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
+        (record,) = list(reader)
+        assert record.paper_id == "p2"
+        assert [m.raw for m in record.mentions] == ["", "", "", "B"]
+        assert reader.report.rows_skipped == 1
+
     def test_mag_tsv_mention_raw_preserved(self):
         line = "42\t0\tMcGill University\tSome Paper\t2016\tcomputer science|databases\n"
         reader = parse_records(io.StringIO(line), Format.MAG_TSV)

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import io
+import json
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ircmap.ingest import AffiliationMention, BibRecord
+from ircmap.ingest import AffiliationMention, BibRecord, Format, parse_records
 from ircmap.metrics import (
     ConsistencyError,
+    MentionCountry,
     PaperCountrySet,
     collapse_to_papers,
     compute_irc,
@@ -33,6 +38,43 @@ def _paper(paper_id, countries, year=2000, unresolved=0):
     return PaperCountrySet(paper_id, year, frozenset(countries), unresolved)
 
 
+def _oracle_collapse(resolutions, records=None):
+    """The dict-based collapse that read every record and resolution before
+    returning; kept as the streaming merge-join's oracle."""
+    years = {}
+    by_paper = {}  # paper id -> [country set, unresolved count]
+    for record in records or ():
+        if record.paper_id in by_paper:
+            raise ConsistencyError(f"duplicate paper id {record.paper_id!r} in records")
+        years[record.paper_id] = record.year
+        by_paper[record.paper_id] = [set(), 0]
+    for resolution in resolutions:
+        paper = by_paper.get(resolution.paper_id)
+        if paper is None:
+            if records is not None:
+                raise ConsistencyError(f"resolution references unknown paper {resolution.paper_id!r}")
+            paper = by_paper[resolution.paper_id] = [set(), 0]
+        if resolution.iso2 is not None:
+            paper[0].add(resolution.iso2)
+        else:
+            paper[1] += 1
+    return [
+        PaperCountrySet(paper_id, years.get(paper_id), frozenset(countries), unresolved)
+        for paper_id, (countries, unresolved) in by_paper.items()
+    ]
+
+
+#: One drawn paper: id (a small pool, so ids repeat), year, its rows' countries.
+_drawn_papers = st.lists(
+    st.tuples(
+        st.sampled_from([f"p{i}" for i in range(12)]),
+        st.one_of(st.none(), st.integers(1990, 2005)),
+        st.lists(st.sampled_from(["US", "CA", "NZ", "DE", None]), max_size=4),
+    ),
+    max_size=25,
+)
+
+
 class TestCollapseToPapers:
     def test_set_collapse(self):
         records = [_record("p1", 3)]
@@ -56,7 +98,7 @@ class TestCollapseToPapers:
         assert paper.unresolved_mentions == 1
 
     def test_zero_mention_record_included(self):
-        papers = collapse_to_papers([], [_record("p1", 0)])
+        papers = list(collapse_to_papers([], [_record("p1", 0)]))
         assert papers == [_paper("p1", set(), unresolved=0)]
 
     def test_without_records_papers_in_first_appearance_order(self):
@@ -66,18 +108,18 @@ class TestCollapseToPapers:
             _resolution("p2", 1, category=Category.NULL_LIKE),
             _resolution("p1", 1, "FR"),
         ]
-        assert collapse_to_papers(resolutions) == [
+        assert list(collapse_to_papers(resolutions)) == [
             _paper("p2", {"CA"}, year=None, unresolved=1),
             _paper("p1", {"NZ", "FR"}, year=None),
         ]
 
     def test_unknown_paper_is_fatal(self):
         with pytest.raises(ConsistencyError):
-            collapse_to_papers([_resolution("ghost", 0, "CA")], [_record("p1", 1)])
+            list(collapse_to_papers([_resolution("ghost", 0, "CA")], [_record("p1", 1)]))
 
     def test_duplicate_paper_id_is_fatal(self):
         with pytest.raises(ConsistencyError):
-            collapse_to_papers([], [_record("p1", 1), _record("p1", 1)])
+            list(collapse_to_papers([], [_record("p1", 1), _record("p1", 1)]))
 
     def test_matches_brute_force_group_by(self):
         rng = random.Random(5)
@@ -89,7 +131,7 @@ class TestCollapseToPapers:
             for j in range(n):
                 resolutions.append(_resolution(f"p{i}", j, rng.choice(countries)))
 
-        papers = collapse_to_papers(resolutions, records)
+        papers = list(collapse_to_papers(resolutions, records))
 
         # Oracle: an independent dict-of-lists group-by.
         grouped: dict[str, list] = {r.paper_id: [] for r in records}
@@ -101,6 +143,63 @@ class TestCollapseToPapers:
             assert paper.paper_id == record.paper_id
             assert paper.countries == frozenset(r.iso2 for r in rows if r.iso2)
             assert paper.unresolved_mentions == sum(1 for r in rows if r.iso2 is None)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=_drawn_papers)
+    def test_streamed_equals_oracle(self, drawn):
+        """Records in order as ``parse_records`` yields them (a repeated id is
+        skipped), rows in record order: streaming gives the oracle's papers."""
+        text = "".join(
+            json.dumps({"paper_id": pid, "year": year, "authors": [{"affiliation": "x"}] * len(rows)}) + "\n"
+            for pid, year, rows in drawn
+        )
+        records = list(parse_records(io.StringIO(text), Format.GENERIC_JSONL))
+        first = {}
+        for pid, _, rows in drawn:
+            first.setdefault(pid, rows)
+        rows = [MentionCountry(r.paper_id, iso2) for r in records for iso2 in first[r.paper_id]]
+
+        streamed = collapse_to_papers(iter(rows), iter(parse_records(io.StringIO(text), Format.GENERIC_JSONL)))
+        assert compute_irc(streamed) == compute_irc(_oracle_collapse(rows, records))
+        assert list(collapse_to_papers(rows, records)) == _oracle_collapse(rows, records)
+        assert list(collapse_to_papers(rows)) == _oracle_collapse(rows)
+
+    def test_first_paper_yielded_before_third_record_is_read(self):
+        pulled = []
+
+        def records():
+            for i in range(50):
+                pulled.append(i)
+                yield _record(f"p{i}", 2)
+
+        rows = (_resolution(f"p{i}", j, "CA") for i in range(50) for j in range(2))
+        papers = collapse_to_papers(rows, records())
+        assert next(papers) == _paper("p0", {"CA"})
+        assert len(pulled) <= 2
+
+    @pytest.mark.parametrize(
+        "order", [["p2", "p1"], ["p1", "p2", "p1"], ["p1", "p3", "p2"]],
+        ids=["swapped", "non-contiguous", "later-paper-first"],
+    )
+    def test_rows_out_of_record_order_are_fatal(self, order):
+        records = [_record("p1", 1), _record("p2", 1), _record("p3", 1)]
+        rows = [_resolution(pid, 0, "CA") for pid in order]
+        with pytest.raises(ConsistencyError, match=r"^resolution for paper 'p[12]' is out of record order$"):
+            list(collapse_to_papers(rows, records))
+
+    def test_unknown_paper_message_differs_from_out_of_order(self):
+        records = [_record("p1", 1), _record("p2", 1)]
+        rows = [_resolution("p1", 0, "CA"), _resolution("ghost", 0, "NZ"), _resolution("p2", 0, "US")]
+        with pytest.raises(ConsistencyError, match=r"^resolution references unknown paper 'ghost'$"):
+            list(collapse_to_papers(rows, records))
+
+    def test_without_records_non_contiguous_rows_merge(self):
+        rows = [_resolution("p1", 0, "CA"), _resolution("p2", 0, "US"), _resolution("p1", 1, "NZ")]
+        assert list(collapse_to_papers(rows)) == [
+            _paper("p1", {"CA", "NZ"}, year=None),
+            _paper("p2", {"US"}, year=None),
+        ]
 
 
 class TestComputeIrc:
