@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 from urllib.parse import urlsplit
 
 from ircmap import __version__
-from ircmap.gazetteer import build_gazetteer, default_data_dir
+from ircmap.gazetteer import GazetteerError, build_gazetteer, default_data_dir
 from ircmap.ingest import Format, IngestError, parse_records
 from ircmap.metrics import ConsistencyError, MentionCountry, collapse_to_papers, compute_irc
 from ircmap.prep import DedupIndex, PrepStats, compute_fos_filter, dedup_overlap, filter_by_fos, filter_coauthored
@@ -331,8 +331,9 @@ def _check_row_outcome(category: object, iso2: object, evidence: object) -> None
 def _read_enriched(path: Path) -> Iterator[MentionCountry]:
     """Each row's paper and country, after the checks a ``Resolution`` makes.
 
-    ``category``, ``evidence`` and ``iso2`` (or null) must be strings; a
-    missing ``evidence`` is empty.  Each distinct outcome is checked once.
+    ``category``, ``evidence`` and ``iso2`` (or null) must be strings, and
+    ``author_index`` a non-negative integer; a missing ``evidence`` is
+    empty.  Each distinct outcome is checked once.
     """
     checked: set[tuple] = set()
     with open(path, "r", encoding="utf-8") as handle:
@@ -344,7 +345,9 @@ def _read_enriched(path: Path) -> Iterator[MentionCountry]:
                 row = MentionCountry(obj["paper_id"], obj.get("iso2"))
                 if not isinstance(row.paper_id, str):
                     raise TypeError(f"paper_id is not a string: {row.paper_id!r}")
-                int(obj["author_index"])  # checked as a Resolution would, not kept
+                author_index = obj["author_index"]  # checked, not kept
+                if type(author_index) is not int or author_index < 0:  # a bool is not an index
+                    raise ValueError(f"author_index is not a non-negative integer: {author_index!r}")
                 outcome = (obj["category"], row.iso2, obj.get("evidence", ""))
                 try:
                     known = outcome in checked
@@ -478,7 +481,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     config = _config_from_args(args)
     try:
         return COMMANDS[args.subcommand](config)
-    except (CliError, ConsistencyError, IngestError) as exc:
+    except (CliError, ConsistencyError, GazetteerError, IngestError) as exc:
         print(f"ircmap: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # unexpected: still fail cleanly with a message

@@ -10,7 +10,8 @@ Three input formats are supported:
   (paper, author).
 * ``jsonl``    -- one record object per line:
   ``{"paper_id", "title", "year", "fos": [...],
-  "authors": [{"affiliation": ...}, ...]}`` with optional ``"doi"``.
+  "authors": [{"affiliation": ...}, ...]}`` with optional ``"doi"``.  An
+  affiliation is a string or null (empty); any other type skips the record.
 
 The two row formats group contiguous rows with one ``paper_id`` into a
 record; a repeated ``author_index`` within that record is skipped.
@@ -279,6 +280,14 @@ def _open_text(source: Union[str, Path, IO[str], IO[bytes]]) -> IO[str]:
     return source  # duck-typed text stream
 
 
+def _json_affiliation(author: object) -> str:
+    """A JSONL author entry's affiliation; a null entry or value is empty."""
+    affiliation = (author or {}).get("affiliation")
+    if not (affiliation is None or isinstance(affiliation, str)):
+        raise TypeError(f"affiliation is not a string: {affiliation!r}")
+    return affiliation or ""
+
+
 def _iter_jsonl(
     stream: IO[str], report: ParseReport, fos_memo: dict[str, str]
 ) -> Iterator[tuple[BibRecord, int]]:
@@ -305,10 +314,9 @@ def _iter_jsonl(
             continue
         try:
             mentions = tuple(
-                AffiliationMention(paper_id, i, str((a or {}).get("affiliation", "")))
-                for i, a in enumerate(authors)
+                AffiliationMention(paper_id, i, _json_affiliation(a)) for i, a in enumerate(authors)
             )
-        except AttributeError:  # an author entry that is neither an object nor empty
+        except (AttributeError, TypeError):  # an author entry or affiliation of the wrong type
             report.rows_skipped += 1
             continue
         doi = obj.get("doi")

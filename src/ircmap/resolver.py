@@ -212,26 +212,47 @@ def _step1(n: NormalizedAffiliation, g: Gazetteer) -> Optional[tuple]:
     return None if hit is None else (hit.category, hit.iso2, hit.evidence, hit.ambiguous)
 
 
-def _step2(raw: str, client: Optional[WikidataClient]) -> tuple[Category, Optional[str], str, bool]:
-    """Knowledge-graph outcome for a string step 1 could not identify."""
-    note = ""
-    if client is not None:
-        for fragment in wikidata_fragments(raw):
-            entry = client.query_country(fragment)
+def _step2(misses: dict[str, str], client: Optional[WikidataClient], lookup=map) -> dict[str, tuple]:
+    """Knowledge-graph outcomes for the strings step 1 could not identify.
+
+    ``misses`` maps each cleaned string to its first raw form.  Lookups run
+    in rounds: round r asks for the r-th fragment (last to first) of every
+    miss that no earlier fragment has settled.  A key goes out once per
+    round, spelled as in the first pending miss that has it, so no two
+    lookups of one key ever run at once.  ``lookup`` (``map`` or a pool's
+    ``map``) runs only ``client.query_country``; fragments, keys and labels
+    are handled on the calling thread.
+    """
+    outcomes: dict[str, tuple] = {}
+    notes = dict.fromkeys(misses, "")
+    walks = {} if client is None else {
+        cleaned: [(token_key(f), f) for f in wikidata_fragments(raw)] for cleaned, raw in misses.items()
+    }
+    pending = [cleaned for cleaned, walk in walks.items() if walk]
+    r = 0
+    while pending:
+        sent: dict[str, str] = {}  # key -> fragment asked for it this round
+        for cleaned in pending:
+            sent.setdefault(*walks[cleaned][r])
+        entries = dict(zip(sent, lookup(client.query_country, sent.values())))
+        for cleaned in pending:
+            key, fragment = walks[cleaned][r]
+            entry = entries[key]
             if entry.status is CacheStatus.ERROR:
-                if not note:
-                    note = entry.detail or "lookup error"
+                notes[cleaned] = notes[cleaned] or entry.detail or "lookup error"
                 continue
             labels = list(dict.fromkeys(entry.countries))
             if len(labels) != 1:
                 continue  # empty result or a multi-country disambiguation
             iso2 = client.label_map.get(labels[0])
             if iso2 is None:
-                note = f"unmapped country label: {labels[0]}"
+                notes[cleaned] = f"unmapped country label: {labels[0]}"
                 logger.warning("no ISO code for country label %r (fragment %r)", labels[0], fragment)
                 continue
-            return (Category.WIKIDATA, iso2, token_key(fragment), False)
-    return (Category.UNIDENTIFIED, None, note, False)
+            outcomes[cleaned] = (Category.WIKIDATA, iso2, key, False)
+        r += 1
+        pending = [cleaned for cleaned in pending if cleaned not in outcomes and len(walks[cleaned]) > r]
+    return {c: outcomes.get(c) or (Category.UNIDENTIFIED, None, notes[c], False) for c in misses}
 
 
 def resolve(
@@ -246,7 +267,8 @@ def resolve(
     mention to ``Unidentified`` (with the error noted in ``evidence``) rather
     than aborting.
     """
-    outcome = _step1(normalize_affiliation(m.raw), g) or _step2(m.raw, client)
+    n = normalize_affiliation(m.raw)
+    outcome = _step1(n, g) or _step2({n.cleaned: m.raw}, client)[n.cleaned]
     return Resolution(m.paper_id, m.author_index, m.raw, *outcome)
 
 
@@ -307,12 +329,12 @@ def resolve_corpus(
     Identical normalized strings are resolved once and reused for the whole
     run.  Each chunk of ``_CHUNK_SIZE`` mentions keeps a map from raw string
     to cleaned string, so a raw string repeated within a chunk is normalized
-    once; the map is dropped with its chunk.  Normalization and step 1
-    always run on the calling thread; with ``jobs > 1`` and an online
-    client, the knowledge-graph lookups for the distinct step-1 misses of
-    each chunk run on ``jobs`` pool threads.
-    Offline and client-less runs start no pool.  Neither the output nor its
-    order depends on ``jobs``.
+    once; the map is dropped with its chunk.  The distinct step-1 misses of
+    a chunk are looked up in rounds (see ``_step2``).  Everything but the
+    lookups runs on the calling thread; with ``jobs > 1`` and an online
+    client, each round's lookups run on ``jobs`` pool threads.  Offline and
+    client-less runs start no pool.  Neither the output nor its order
+    depends on ``jobs``.
     """
     breakdown = IdentificationBreakdown()
     online = client is not None and client.mode is Mode.ONLINE
@@ -341,7 +363,7 @@ def resolve_corpus(
                         misses[n.cleaned] = m.raw
                     else:
                         memo[n.cleaned] = outcome
-                memo.update(zip(misses, lookup(lambda raw: _step2(raw, client), misses.values())))
+                memo.update(_step2(misses, client, lookup))
                 for m in chunk:
                     category, iso2, evidence, ambiguous = memo[cleaned[m.raw]]
                     breakdown.add(category)

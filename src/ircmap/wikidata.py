@@ -7,9 +7,9 @@ service.  The ``wikibase:`` and ``bd:`` prefixes are left undeclared on
 purpose: the public Wikidata endpoint predefines them, and the template is
 kept verbatim.
 
-The client is shared state: one rate limiter, coalesced in-flight lookups for
-identical fragments, and an append-only JSON-lines cache (last entry per key
-wins on load) that makes offline replay possible.
+The client is shared state: one rate limiter and an append-only JSON-lines
+cache (last entry per key wins on load) that makes offline replay possible.
+Lookups are not coalesced; the resolver never overlaps two of one key.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ import os
 import re
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 from urllib.parse import quote, urlencode
 
+from ircmap.gazetteer import GazetteerError, _read_table
 from ircmap.ingest import token_key
 
 __all__ = [
@@ -240,20 +240,15 @@ class LabelMap:
 
     @classmethod
     def from_gazetteer(cls, gazetteer, extra_labels_path: Optional[Path | str] = None) -> "LabelMap":
-        """Canonical country names plus the shipped extra-labels table."""
+        """Canonical country names plus the extra-labels table; a bad table raises GazetteerError."""
         mapping = {entry.canonical_name: iso2 for iso2, entry in gazetteer.countries.items()}
         if extra_labels_path is not None:
             path = Path(extra_labels_path)
-            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected label<TAB>iso2")
-                label, iso2 = fields[0].strip(), fields[1].strip().upper()
+            for lineno, (label, iso2) in _read_table(path, 2, 2):
+                iso2 = iso2.strip().upper()
                 if iso2 not in gazetteer.countries:
-                    raise ValueError(f"{path}:{lineno}: unknown country code {iso2!r}")
-                mapping[label] = iso2
+                    raise GazetteerError(f"{path}:{lineno}: unknown country code {iso2!r}")
+                mapping[label.strip()] = iso2
         return cls(mapping)
 
 
@@ -360,8 +355,8 @@ class WikidataClient:
     """Rate-limited, cached country lookups for affiliation fragments.
 
     Offline mode answers from the cache only and performs no network
-    operations at all.  Concurrent lookups of the same normalized fragment
-    are coalesced into a single request.
+    operations at all.  Lookups are not coalesced: two concurrent lookups
+    of one normalized fragment each send a request.
     """
 
     def __init__(
@@ -392,24 +387,6 @@ class WikidataClient:
         self.backoff_base = backoff_base
         self._sleep = sleep
         self._now = _utc_now
-        #: key -> [lock, threads holding or waiting for it]; dropped at zero.
-        self._key_locks: dict[str, list] = {}
-        self._master_lock = threading.Lock()
-
-    @contextmanager
-    def _locked(self, key: str) -> Iterator[None]:
-        """Hold the per-key lock; its entry lives only while a thread uses it."""
-        with self._master_lock:
-            entry = self._key_locks.setdefault(key, [threading.Lock(), 0])
-            entry[1] += 1
-        try:
-            with entry[0]:
-                yield
-        finally:
-            with self._master_lock:
-                entry[1] -= 1
-                if not entry[1]:
-                    del self._key_locks[key]
 
     def query_country(self, fragment: str) -> CacheEntry:
         """Country labels for one fragment, from cache or the endpoint.
@@ -428,14 +405,10 @@ class WikidataClient:
             return entry
         if self.mode is Mode.OFFLINE:
             return CacheEntry(key, (), CacheStatus.ERROR, self._now().isoformat(), "offline-miss")
-        with self._locked(key):
-            entry = self.cache.get(key)
-            if entry is not None:
-                return entry
-            entry, cacheable = self._fetch(key, fragment)
-            if cacheable:
-                self.cache.put(entry)
-            return entry
+        entry, cacheable = self._fetch(key, fragment)
+        if cacheable:
+            self.cache.put(entry)
+        return entry
 
     def _fetch(self, key: str, fragment: str) -> tuple[CacheEntry, bool]:
         query = build_sparql_query(fragment)

@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -261,6 +262,50 @@ class TestResolve:
         assert next(calls) > 9000
         assert _snapshot(out) == before
 
+    @pytest.mark.parametrize(
+        "table, line, message",
+        [
+            ("countries.tsv", "ZZ\tZedland\tzed\textra", "expected 2-3 tab-separated fields, got 4"),
+            ("wikidata_labels.tsv", "Zedland", "expected 2-2 tab-separated fields, got 1"),
+            ("wikidata_labels.tsv", "Zedland\tZZ", "unknown country code 'ZZ'"),
+        ],
+        ids=["countries-extra-field", "labels-one-field", "labels-unknown-code"],
+    )
+    def test_malformed_gazetteer_table_is_user_error(self, tmp_path, warm_cache, data_dir, capsys, caplog,
+                                                     table, line, message):
+        tables = tmp_path / "tables"
+        shutil.copytree(data_dir, tables)
+        corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway"])])
+        out = tmp_path / "out"
+        argv = ["resolve", "--input", str(corpus), "--output", str(out), "--gazetteer", str(tables),
+                "--cache", str(warm_cache), "--offline"]
+        assert main(argv) == 0
+        before = _snapshot(out)
+        with open(tables / table, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ircmap: error: {tables / table}:")
+        assert message in err
+        assert "Traceback" not in caplog.text
+        assert _snapshot(out) == before
+
+    def test_affiliation_neither_text_nor_null_skips_its_record(self, tmp_path, warm_cache, caplog):
+        corpus = _write_jsonl(
+            tmp_path / "c.jsonl",
+            [_paper("p1", ["Paris, France", None]), _paper("p2", ["MIT", ["MIT", "Cambridge, USA"]])],
+        )
+        out = tmp_path / "out"
+        assert main(["resolve", "--input", str(corpus), "--output", str(out),
+                     "--cache", str(warm_cache), "--offline"]) == 0
+        rows = [json.loads(line) for line in (out / "enriched.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [(r["paper_id"], r["raw"], r["category"]) for r in rows] == [
+            ("p1", "Paris, France", "CountryName"),
+            ("p1", "", "NullLike"),
+        ]
+        assert "skipped 1 malformed or duplicate rows" in caplog.text
+
     def test_duplicate_paper_id_keeps_first_record(self, tmp_path, warm_cache, caplog):
         corpus = _write_jsonl(
             tmp_path / "c.jsonl",
@@ -460,11 +505,17 @@ class TestMetrics:
             json.dumps({**_GOOD_ROW, "evidence": 7}),
             json.dumps({**_GOOD_ROW, "evidence": ["canada"]}),
             json.dumps({**_GOOD_ROW, "category": ["CountryName"]}),
+            json.dumps({**_GOOD_ROW, "author_index": 1.5}),
+            json.dumps({**_GOOD_ROW, "author_index": True}),
+            json.dumps({**_GOOD_ROW, "author_index": "1"}),
+            json.dumps({**_GOOD_ROW, "author_index": -1}),
         ],
         ids=["bad-json", "no-paper-id", "non-integer-author-index", "unknown-category",
              "identified-without-iso2", "iso2-on-unidentified", "iso2-on-null-like", "empty-evidence",
              "not-an-object", "null-author-index", "list-paper-id", "numeric-paper-id",
-             "list-iso2", "numeric-iso2", "numeric-evidence", "list-evidence", "list-category"],
+             "list-iso2", "numeric-iso2", "numeric-evidence", "list-evidence", "list-category",
+             "fractional-author-index", "boolean-author-index", "string-author-index",
+             "negative-author-index"],
     )
     def test_bad_enriched_row_is_user_error(self, tmp_path, capsys, caplog, line):
         enriched = tmp_path / "enriched.jsonl"

@@ -174,6 +174,19 @@ class TestParseRecords:
         assert [m.raw for m in record.mentions] == ["", "", "", "B"]
         assert reader.report.rows_skipped == 1
 
+    @pytest.mark.parametrize("affiliation", [["MIT", "Cambridge, USA"], 5, True, {"name": "MIT"}],
+                             ids=["list", "number", "true", "object"])
+    def test_affiliation_neither_text_nor_null_skipped(self, affiliation):
+        rows = [
+            {"paper_id": "p1", "authors": [{"affiliation": "A"}, {"affiliation": affiliation}]},
+            {"paper_id": "p2", "authors": [{"affiliation": None}, {"affiliation": "B"}]},
+        ]
+        reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
+        (record,) = list(reader)
+        assert record.paper_id == "p2"
+        assert [m.raw for m in record.mentions] == ["", "B"]  # a null affiliation is empty
+        assert reader.report.rows_skipped == 1
+
     def test_mag_tsv_mention_raw_preserved(self):
         line = "42\t0\tMcGill University\tSome Paper\t2016\tcomputer science|databases\n"
         reader = parse_records(io.StringIO(line), Format.MAG_TSV)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import re
 import threading
 import time
 
@@ -291,7 +292,8 @@ class TestResolveCorpus:
         assert all(r.category is Category.COUNTRY_NAME for r in resolutions)
         assert transport.calls == 0
 
-    def test_one_query_per_unique_normalized_fragment(self, gazetteer, make_replay_client):
+    @pytest.mark.parametrize("jobs", [1, 8])
+    def test_one_query_per_unique_normalized_fragment(self, gazetteer, make_replay_client, jobs):
         client, transport = make_replay_client()
         raws = [
             "McGill University",
@@ -300,11 +302,15 @@ class TestResolveCorpus:
             "McGill  University",
             "University of Oxford",
             "ETH Zurich",
+            # Fragments shared with the misses above, asked for in a later round.
+            "McGill University, Unknown Institute of Advanced Phrenology",
+            "ETH Zurich, National Research Council",
+            "Unknown Institute of Advanced Phrenology, Kyoto University",
         ]
-        run = resolve_corpus([_record("p", raws)], gazetteer, client)
+        run = resolve_corpus([_record("p", raws)], gazetteer, client, jobs=jobs)
         resolutions = list(run)
-        assert transport.calls == 3
-        assert [r.iso2 for r in resolutions] == ["CA", "CA", "GB", "CA", "GB", "CH"]
+        assert transport.calls == 6
+        assert [r.iso2 for r in resolutions] == ["CA", "CA", "GB", "CA", "GB", "CH", "CA", "CH", "JP"]
 
     def test_breakdown_matches_hand_labels(self, gazetteer, make_replay_client):
         client, _ = make_replay_client()
@@ -446,6 +452,61 @@ class TestResolveCorpus:
         # rerun is answered entirely from the snapshot.
         assert transport2.calls == 0
         assert first == second
+
+
+class _TitleRecorder:
+    """Replay transport that records each title asked for and answers
+    "Quiet" titles 50 ms late."""
+
+    def __init__(self):
+        self.replay = ReplayTransport(REPLAY_DIR)
+        self.titles = []
+
+    def get(self, url, params, headers):
+        title = re.search(r"/wiki/([^>]+)>", params["query"]).group(1)
+        self.titles.append(title)
+        if "Quiet" in title:
+            time.sleep(0.05)
+        return self.replay.get(url, params, headers)
+
+
+class TestLookupRounds:
+    """Round r asks for the r-th fragment of each unsettled miss; a key goes
+    out once per round, spelled as in the first pending miss that has it."""
+
+    def _run(self, raws, make_replay_client, gazetteer, jobs):
+        client, _ = make_replay_client()
+        client.transport = _TitleRecorder()
+        rows = list(resolve_corpus([_record("p", raws)], gazetteer, client, jobs=jobs))
+        return rows, sorted(client.transport.titles)
+
+    def test_rows_and_titles_do_not_depend_on_jobs(self, gazetteer, make_replay_client):
+        raws = ["McGill University, Quiet Institute", "MCGILL UNIVERSITY"]
+        runs = [self._run(raws, make_replay_client, gazetteer, jobs) for jobs in (1, 2, 8)]
+        assert runs[0] == runs[1] == runs[2]
+        rows, titles = runs[0]
+        # Round 0 asks for "MCGILL UNIVERSITY" (the second miss's last fragment)
+        # and caches its error, which round 1 then reads for the first miss.
+        assert titles == ["MCGILL_UNIVERSITY", "Quiet_Institute"]
+        assert [(r.category, r.evidence) for r in rows] == [
+            (Category.UNIDENTIFIED, f"transport error: no recorded response for {title!r}")
+            for title in ("Quiet_Institute", "MCGILL_UNIVERSITY")  # each miss notes its first error
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 8])
+    @pytest.mark.parametrize(
+        "raws, sent, iso2",
+        [
+            (["Quiet Lab, McGill University", "MCGILL UNIVERSITY"], ["McGill_University"], "CA"),
+            # The unanswered key leaves the first miss pending, so round 1 asks for "Quiet Lab".
+            (["Quiet Lab, MCGILL UNIVERSITY", "McGill University"], ["MCGILL_UNIVERSITY", "Quiet_Lab"], None),
+        ],
+        ids=["first-casing-recorded", "first-casing-unrecorded"],
+    )
+    def test_first_pending_casing_is_sent(self, gazetteer, make_replay_client, jobs, raws, sent, iso2):
+        rows, titles = self._run(raws, make_replay_client, gazetteer, jobs)
+        assert titles == sent
+        assert [r.iso2 for r in rows] == [iso2, iso2]
 
 
 class TestResolveCorpusThreads:

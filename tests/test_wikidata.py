@@ -5,13 +5,13 @@ import socket
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
+from ircmap.gazetteer import GazetteerError
 from ircmap.ingest import AffiliationMention
 from ircmap.resolver import Category, resolve
 from ircmap.wikidata import (
@@ -166,7 +166,7 @@ class TestLabelMap:
     def test_unknown_iso_code_in_extras_rejected(self, gazetteer, tmp_path):
         bad = tmp_path / "labels.tsv"
         bad.write_text("Narnia\tZZ\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="ZZ"):
+        with pytest.raises(GazetteerError, match="ZZ"):
             LabelMap.from_gazetteer(gazetteer, bad)
 
 
@@ -306,80 +306,6 @@ class TestQueryCountry:
             cache=CacheStore(), label_map=label_map, transport=transport, rate_limit=0.0
         )
         assert client.query_country("Twin Binding U").countries == ("Canada",)
-
-
-class TestCoalescing:
-    def test_key_locks_dropped_after_contended_lookups(self, label_map):
-        lock = threading.Lock()
-        calls = []
-
-        class InstantTransport:
-            def get(self, url, params, headers):
-                with lock:
-                    calls.append(params["query"])
-                time.sleep(0.0005)
-                return TransportResponse(200, json.dumps({"results": {"bindings": []}}))
-
-        client = WikidataClient(
-            cache=CacheStore(), label_map=label_map, transport=InstantTransport(), rate_limit=0.0,
-        )
-        fragments = [f"Contended Institute {i // 4}" for i in range(400)]  # four lookups in a row per key
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                entries = list(pool.map(client.query_country, fragments, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(e.status is CacheStatus.EMPTY for e in entries)
-        assert len(calls) == len(set(calls)) == 100
-        assert client._key_locks == {}
-
-    def test_concurrent_lookups_of_one_fragment_send_one_request(self, label_map):
-        body = json.dumps({"results": {"bindings": [{"countryLabel": {"value": "Canada"}}]}})
-        requested, release, second_missed = threading.Event(), threading.Event(), threading.Event()
-
-        class BlockingTransport:
-            calls = 0
-
-            def get(self, url, params, headers):
-                self.calls += 1
-                requested.set()
-                release.wait(5)
-                return TransportResponse(200, body)
-
-        class WatchedCache(CacheStore):
-            misses = 0
-
-            def get(self, key):
-                entry = super().get(key)
-                if entry is None:
-                    self.misses += 1
-                    if self.misses == 3:  # first thread before and under the lock, then the second
-                        second_missed.set()
-                return entry
-
-        transport = BlockingTransport()
-        client = WikidataClient(
-            cache=WatchedCache(), label_map=label_map, transport=transport, rate_limit=0.0,
-        )
-        results = []
-        threads = [
-            threading.Thread(target=lambda: results.append(client.query_country("McGill University")))
-            for _ in range(2)
-        ]
-        threads[0].start()
-        assert requested.wait(5)
-        threads[1].start()
-        assert second_missed.wait(5)
-        time.sleep(0.05)  # let the second thread block on the fragment's lock
-        release.set()
-        for thread in threads:
-            thread.join(5)
-            assert not thread.is_alive()
-        assert transport.calls == 1
-        assert [e.countries for e in results] == [("Canada",), ("Canada",)]
-        assert client._key_locks == {}
 
 
 class TestRateLimiter:
