@@ -19,13 +19,13 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 from urllib.parse import urlsplit
 
 from ircmap import __version__
@@ -82,29 +82,6 @@ class CliError(Exception):
     """Fatal, user-facing condition; message printed to stderr, exit 1."""
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    input: str
-    format: str = Format.GENERIC_JSONL.value
-    output: str = ""
-    gazetteer: Optional[str] = None
-    extended_parts: bool = False
-    cache: Optional[str] = None
-    endpoint: str = DEFAULT_ENDPOINT
-    offline: bool = False
-    rate_limit: float = 2.0
-    jobs: int = 1
-    top_k_fos: Optional[int] = None
-    overlap: Optional[str] = None
-    overlap_format: str = Format.GENERIC_JSONL.value
-    dedup_against: Optional[str] = None
-    dedup_format: str = Format.GENERIC_JSONL.value
-    records: Optional[str] = None
-    records_format: str = Format.GENERIC_JSONL.value
-    emit_csv: bool = False
-
-
 def default_cache_path() -> Path:
     env_dir = os.environ.get(CACHE_DIR_ENV_VAR)
     if env_dir:
@@ -154,13 +131,13 @@ class OutputSet:
             path.unlink()
         self.stage.rmdir()
 
-    def commit(self, config: RunConfig, inputs: list[Path], counts: dict) -> None:
+    def commit(self, args: argparse.Namespace, inputs: list[Path], counts: dict) -> None:
         names = sorted(path.name for path in self.stage.iterdir())
         manifest = {
             "tool": "ircmap",
             "version": __version__,
-            "subcommand": config.subcommand,
-            "config": asdict(config),
+            "subcommand": args.subcommand,
+            "config": vars(args),
             "inputs": {str(p): _sha256(p) for p in inputs},
             "outputs": names,
             "counts": counts,
@@ -193,10 +170,10 @@ def _records_list(path: Path, fmt: str) -> list:
     return records
 
 
-def cmd_prepare(config: RunConfig) -> int:
-    in_path = _require_input(config.input)
-    with OutputSet(Path(config.output)) as out:
-        records = _records_list(in_path, config.format)
+def cmd_prepare(args: argparse.Namespace) -> int:
+    in_path = _require_input(args.input)
+    with OutputSet(Path(args.output)) as out:
+        records = _records_list(in_path, args.format)
         if not records:
             raise CliError(f"no records parsed from {in_path}")
         stats = PrepStats()
@@ -204,17 +181,17 @@ def cmd_prepare(config: RunConfig) -> int:
             stats.observe_input(record)
 
         stream = iter(records)
-        if config.top_k_fos:
-            if config.overlap:
-                overlap_records = _records_list(_require_input(config.overlap), config.overlap_format)
+        if args.top_k_fos:
+            if args.overlap:
+                overlap_records = _records_list(_require_input(args.overlap), args.overlap_format)
             else:
                 overlap_records = records
-            fos_filter = compute_fos_filter(overlap_records, config.top_k_fos)
+            fos_filter = compute_fos_filter(overlap_records, args.top_k_fos)
             stats.fos_coverage = fos_filter.coverage
             stats.fos_terms = tuple(sorted(fos_filter.terms))
             stream = filter_by_fos(stream, fos_filter, stats)
-        if config.dedup_against:
-            secondary = _records_list(_require_input(config.dedup_against), config.dedup_format)
+        if args.dedup_against:
+            secondary = _records_list(_require_input(args.dedup_against), args.dedup_format)
             stream = dedup_overlap(stream, DedupIndex.from_records(secondary), stats)
         stream = filter_coauthored(stream, stats)
 
@@ -238,12 +215,12 @@ def cmd_prepare(config: RunConfig) -> int:
                 )
         write_prep_report(out.stage, stats)
         inputs = [in_path]
-        if config.overlap:
-            inputs.append(Path(config.overlap))
-        if config.dedup_against:
-            inputs.append(Path(config.dedup_against))
+        if args.overlap:
+            inputs.append(Path(args.overlap))
+        if args.dedup_against:
+            inputs.append(Path(args.dedup_against))
         out.commit(
-            config,
+            args,
             inputs,
             {
                 "total_works": stats.total_works,
@@ -258,39 +235,39 @@ def cmd_prepare(config: RunConfig) -> int:
     return 0
 
 
-def _build_client(config: RunConfig, gazetteer) -> WikidataClient:
-    if not config.offline:
-        endpoint = urlsplit(config.endpoint)
+def _build_client(args: argparse.Namespace, gazetteer) -> WikidataClient:
+    if not args.offline:
+        endpoint = urlsplit(args.endpoint)
         if endpoint.scheme not in ("http", "https") or not endpoint.hostname:
-            raise CliError(f"SPARQL endpoint must be an http(s) URL with a host: {config.endpoint!r}")
-    cache_path = Path(config.cache) if config.cache else default_cache_path()
-    if config.offline and not cache_path.is_file():
+            raise CliError(f"SPARQL endpoint must be an http(s) URL with a host: {args.endpoint!r}")
+    cache_path = Path(args.cache) if args.cache else default_cache_path()
+    if args.offline and not cache_path.is_file():
         raise CliError(f"offline mode requires an existing cache file: {cache_path}")
     cache = CacheStore(cache_path)
-    data_dir = Path(config.gazetteer) if config.gazetteer else default_data_dir()
+    data_dir = Path(args.gazetteer) if args.gazetteer else default_data_dir()
     label_map = LabelMap.from_gazetteer(gazetteer, data_dir / "wikidata_labels.tsv")
     return WikidataClient(
         cache=cache,
         label_map=label_map,
-        endpoint=config.endpoint,
-        mode=Mode.OFFLINE if config.offline else Mode.ONLINE,
-        rate_limit=config.rate_limit,
+        endpoint=args.endpoint,
+        mode=Mode.OFFLINE if args.offline else Mode.ONLINE,
+        rate_limit=args.rate_limit,
     )
 
 
-def cmd_resolve(config: RunConfig) -> int:
-    in_path = _require_input(config.input)
-    with OutputSet(Path(config.output)) as out:
-        data_dir = Path(config.gazetteer) if config.gazetteer else default_data_dir()
-        gazetteer = build_gazetteer(data_dir, include_extension=config.extended_parts)
-        client = _build_client(config, gazetteer)
+def cmd_resolve(args: argparse.Namespace) -> int:
+    in_path = _require_input(args.input)
+    with OutputSet(Path(args.output)) as out:
+        data_dir = Path(args.gazetteer) if args.gazetteer else default_data_dir()
+        gazetteer = build_gazetteer(data_dir, include_extension=args.extended_parts)
+        client = _build_client(args, gazetteer)
 
-        reader = parse_records(in_path, Format(config.format))
-        run = resolve_corpus(reader, gazetteer, client, jobs=config.jobs)
+        reader = parse_records(in_path, Format(args.format))
+        run = resolve_corpus(reader, gazetteer, client, jobs=args.jobs)
         with ExitStack() as files:
             handle = files.enter_context(open(out.stage / "enriched.jsonl", "w", encoding="utf-8"))
             csv_writer = None
-            if config.emit_csv:
+            if args.emit_csv:
                 import csv as _csv
 
                 csv_writer = _csv.writer(
@@ -307,7 +284,7 @@ def cmd_resolve(config: RunConfig) -> int:
         _warn_skipped(in_path, reader)
         write_breakdown(out.stage, run.breakdown)
         out.commit(
-            config,
+            args,
             [in_path],
             {
                 "mentions": run.breakdown.total,
@@ -361,18 +338,18 @@ def _read_enriched(path: Path) -> Iterator[MentionCountry]:
             yield row
 
 
-def cmd_metrics(config: RunConfig) -> int:
-    enriched_path = _require_input(config.input)
-    with OutputSet(Path(config.output)) as out:
-        records_path = _require_input(config.records) if config.records else None
-        records = parse_records(records_path, Format(config.records_format)) if records_path else None
+def cmd_metrics(args: argparse.Namespace) -> int:
+    enriched_path = _require_input(args.input)
+    with OutputSet(Path(args.output)) as out:
+        records_path = _require_input(args.records) if args.records else None
+        records = parse_records(records_path, Format(args.records_format)) if records_path else None
         stats = compute_irc(collapse_to_papers(_read_enriched(enriched_path), records))
         if records is not None:
             _warn_skipped(records_path, records)
         write_irc_stats(out.stage, stats)
         inputs = [enriched_path] + ([records_path] if records_path else [])
         out.commit(
-            config,
+            args,
             inputs,
             {
                 "papers": stats.total_papers,
@@ -385,10 +362,12 @@ def cmd_metrics(config: RunConfig) -> int:
     return 0
 
 
-def cmd_report(config: RunConfig) -> int:
-    directory = Path(config.input)
+def cmd_report(args: argparse.Namespace) -> int:
+    directory = Path(args.input)
     if not directory.is_dir():
         raise CliError(f"not a directory: {directory}")
+    if not (directory / "manifest.json").is_file():
+        raise CliError(f"no manifest.json under {directory}: not the output of a completed stage")
     found = False
     for name in ("prep_report.txt", "breakdown.txt", "irc_stats.txt"):
         path = directory / name
@@ -399,6 +378,21 @@ def cmd_report(config: RunConfig) -> int:
     if not found:
         raise CliError(f"no report artifacts found under {directory}")
     return 0
+
+
+def _positive(kind: type) -> Callable[[str], float]:
+    """An argparse type: ``kind(text)``, which must be finite and greater than 0."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < math.inf:  # false for nan too
+            raise argparse.ArgumentTypeError(f"expected a positive finite {kind.__name__}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     prepare.add_argument("--input", required=True)
     prepare.add_argument("--format", choices=formats, default=Format.GENERIC_JSONL.value)
     prepare.add_argument("--output", required=True, help="output directory")
-    prepare.add_argument("--top-k-fos", type=int, default=None, metavar="K",
+    prepare.add_argument("--top-k-fos", type=_positive(int), default=None, metavar="K",
                          help="apply a top-K field-of-study filter")
     prepare.add_argument("--overlap", default=None,
                          help="corpus whose FOS frequencies define the filter (default: the input)")
@@ -433,12 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     resolve_p.add_argument("--extended-parts", action="store_true",
                            help="also load Canadian provinces and Australian states")
     resolve_p.add_argument("--cache", default=None, help="knowledge-graph cache file (JSON lines)")
-    resolve_p.add_argument("--endpoint", default=None, help="SPARQL endpoint URL")
+    resolve_p.add_argument("--endpoint", default=os.environ.get(ENDPOINT_ENV_VAR) or DEFAULT_ENDPOINT,
+                           help=f"SPARQL endpoint URL (default: ${ENDPOINT_ENV_VAR}, else {DEFAULT_ENDPOINT})")
     resolve_p.add_argument("--offline", action="store_true",
                            help="answer only from the cache; no network")
-    resolve_p.add_argument("--rate-limit", type=float, default=2.0, metavar="RPS",
+    resolve_p.add_argument("--rate-limit", type=_positive(float), default=2.0, metavar="RPS",
                            help="max endpoint requests per second (default 2)")
-    resolve_p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    resolve_p.add_argument("--jobs", type=_positive(int), default=os.cpu_count() or 1,
                            help="concurrent knowledge-graph lookups; step 1 always runs on one "
                                 "thread; output is identical for any value")
     resolve_p.add_argument("--emit-csv", action="store_true",
@@ -458,14 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = vars(args)
-    config = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
-    config.endpoint = given.get("endpoint") or os.environ.get(ENDPOINT_ENV_VAR) or DEFAULT_ENDPOINT
-    config.jobs = max(1, config.jobs)
-    return config
-
-
 COMMANDS = {
     "prepare": cmd_prepare,
     "resolve": cmd_resolve,
@@ -478,9 +465,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return COMMANDS[args.subcommand](config)
+        return COMMANDS[args.subcommand](args)
     except (CliError, ConsistencyError, GazetteerError, IngestError) as exc:
         print(f"ircmap: error: {exc}", file=sys.stderr)
         return 1

@@ -36,7 +36,7 @@ from enum import Enum
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Union
+from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "AffiliationMention",
@@ -248,7 +248,8 @@ def _format_records(
         return _iter_jsonl(stream, report, fos_memo)
     if fmt is Format.MAG_TSV:
         lines = (line.rstrip("\n").rstrip("\r") for line in stream)
-        rows = (_mag_row(line.split("\t"), fos_memo) for line in lines if line)
+        fields = (line.split("\t") for line in lines if line)
+        rows = (_row(f + [""], fos_memo) if len(f) == 6 else None for f in fields)  # no DOI column
         return _iter_rowwise(rows, report)
     reader = csv.DictReader(stream)
     if reader.fieldnames is None:
@@ -256,7 +257,8 @@ def _format_records(
     missing = {"paper_id", "author_index", "affiliation"} - set(reader.fieldnames)
     if missing:
         raise IngestError(f"csv header missing columns: {sorted(missing)}")
-    return _iter_rowwise((_csv_row(row, fos_memo) for row in reader), report)
+    rows = (_row([row.get(column) or "" for column in _COLUMNS], fos_memo) for row in reader)
+    return _iter_rowwise(rows, report)
 
 
 def _releasing(records: Iterator[BibRecord], release: Callable[[], object]) -> Iterator[BibRecord]:
@@ -331,54 +333,26 @@ def _iter_jsonl(
         yield record, 1
 
 
-#: One mention-level row: (paper_id, author_index, affiliation, title, year, fos, doi)
+#: The columns of a mention row, in the order ``_row`` takes their values.
+_COLUMNS = ("paper_id", "author_index", "affiliation", "title", "year", "fos", "doi")
+#: One parsed mention row, in ``_COLUMNS`` order.
 _Row = tuple[str, int, str, str, "int | None", frozenset, "str | None"]
 
 
-def _mag_row(fields: list[str], fos_memo: dict[str, str]) -> _Row | None:
-    if len(fields) != 6:
-        return None
-    paper_id = fields[0].strip()
+def _row(fields: Sequence[str], fos_memo: dict[str, str]) -> _Row | None:
+    """One mention row from its raw column values in ``_COLUMNS`` order; ``None`` if bad."""
+    paper_id, author_index, affiliation, title, year, fos, doi = fields
+    paper_id = paper_id.strip()
     if not paper_id:
         return None
     try:
-        author_index = int(fields[1])
+        author_index = int(author_index)
     except ValueError:
         return None
     if author_index < 0:
         return None
-    return (
-        paper_id,
-        author_index,
-        fields[2],
-        fields[3],
-        _parse_year(fields[4]) if fields[4].strip() else None,
-        _parse_fos(fields[5], fos_memo),
-        None,
-    )
-
-
-def _csv_row(record: dict, fos_memo: dict[str, str]) -> _Row | None:
-    paper_id = (record.get("paper_id") or "").strip()
-    if not paper_id:
-        return None
-    try:
-        author_index = int(record.get("author_index") or "")
-    except ValueError:
-        return None
-    if author_index < 0:
-        return None
-    year_raw = (record.get("year") or "").strip()
-    doi = (record.get("doi") or "").strip() or None
-    return (
-        paper_id,
-        author_index,
-        record.get("affiliation") or "",
-        record.get("title") or "",
-        _parse_year(year_raw) if year_raw else None,
-        _parse_fos(record.get("fos") or "", fos_memo),
-        doi,
-    )
+    return (paper_id, author_index, affiliation, title, _parse_year(year), _parse_fos(fos, fos_memo),
+            doi.strip() or None)
 
 
 def _valid_rows(rows: Iterable[_Row | None], report: ParseReport) -> Iterator[_Row]:

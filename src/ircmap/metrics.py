@@ -129,25 +129,21 @@ class YearStats:
 
 
 @dataclass
-class IrcStats:
-    """Corpus-level collaboration measures.
+class IrcStats(YearStats):
+    """Corpus-level collaboration measures: ``YearStats`` over all papers, per year and per pair.
 
     ``pair_counts`` maps each unordered country pair (stored sorted) to the
     number of papers where both appear; a paper with k countries contributes
     k*(k-1)/2 pairs, each once.
     """
 
-    total_papers: int = 0
-    international: int = 0
-    domestic: int = 0
-    unmeasurable: int = 0
     per_year: dict = field(default_factory=dict)  # year (int or None) -> YearStats
     pair_counts: dict = field(default_factory=dict)  # (iso2, iso2) sorted -> int
 
     @property
-    def irc_ratio(self) -> Optional[float]:
-        measurable = self.international + self.domestic
-        return self.international / measurable if measurable else None
+    def total_papers(self) -> int:
+        """``total``, under the name the reports and ``irc_stats.json`` use."""
+        return self.total
 
     def to_json_dict(self) -> dict:
         return {
@@ -185,13 +181,7 @@ def compute_irc(papers: Iterable[PaperCountrySet]) -> IrcStats:
     stats = IrcStats()
     for paper in papers:
         n = len(paper.countries)
-        stats.total_papers += 1
-        if n >= 2:
-            stats.international += 1
-        elif n == 1:
-            stats.domestic += 1
-        else:
-            stats.unmeasurable += 1
+        stats.add(n)
         year_stats = stats.per_year.setdefault(paper.year, YearStats())
         year_stats.add(n)
         for pair in combinations(sorted(paper.countries), 2):

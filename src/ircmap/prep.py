@@ -96,7 +96,7 @@ class DedupIndex:
     def __init__(self):
         self.dois: set[str] = set()
         self.title_year_plain: set[tuple] = set()
-        self.title_year_with_doi: dict[tuple, set[str]] = {}
+        self.title_year_with_doi: set[tuple] = set()
 
     @classmethod
     def from_records(cls, records: Iterable[BibRecord]) -> "DedupIndex":
@@ -104,9 +104,8 @@ class DedupIndex:
         for record in records:
             key = title_year_key(record)
             if record.doi:
-                doi = _normalize_doi(record.doi)
-                index.dois.add(doi)
-                index.title_year_with_doi.setdefault(key, set()).add(doi)
+                index.dois.add(_normalize_doi(record.doi))
+                index.title_year_with_doi.add(key)
             else:
                 index.title_year_plain.add(key)
         return index

@@ -656,6 +656,18 @@ class TestReport:
         empty.mkdir()
         assert main(["report", "--input", str(empty)]) == 1
 
+    def test_directory_without_manifest_is_error(self, tmp_path, capsys, caplog):
+        """A stray report file is not a completed stage's output."""
+        stray = tmp_path / "stray"
+        stray.mkdir()
+        (stray / "breakdown.txt").write_text("Affiliations  3\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--input", str(stray)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"ircmap: error: no manifest.json under {stray}")
+        assert captured.out == ""
+        assert "Traceback" not in caplog.text
+
 
 def test_offline_pipeline_never_imports_an_http_client(tmp_path, warm_cache):
     """prepare, offline resolve and metrics leave the HTTP modules unloaded (start-up time, RSS)."""
@@ -692,6 +704,55 @@ def test_manifest_lists_exactly_the_stage_outputs(corpus_20, tmp_path, warm_cach
     for out in (prep, resolved, stats):
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
+def test_manifest_config_echoes_only_the_stage_options(corpus_20, tmp_path, warm_cache):
+    prep, resolved, stats = tmp_path / "prep", tmp_path / "resolved", tmp_path / "stats"
+    prepared = str(prep / "prepared.jsonl")
+    assert main(["prepare", "--input", str(corpus_20), "--output", str(prep), "--top-k-fos", "3"]) == 0
+    assert main(["resolve", "--input", prepared, "--output", str(resolved),
+                 "--cache", str(warm_cache), "--offline", "--jobs", "2"]) == 0
+    assert main(["metrics", "--input", str(resolved / "enriched.jsonl"), "--records", prepared,
+                 "--output", str(stats)]) == 0
+    common = {"subcommand", "input", "output"}
+    expected = {
+        prep: common | {"format", "top_k_fos", "overlap", "overlap_format", "dedup_against", "dedup_format"},
+        resolved: common | {"format", "gazetteer", "extended_parts", "cache", "endpoint", "offline",
+                            "rate_limit", "jobs", "emit_csv"},
+        stats: common | {"records", "records_format"},
+    }
+    for out, keys in expected.items():
+        config = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]
+        assert set(config) == keys
+    config = json.loads((resolved / "manifest.json").read_text(encoding="utf-8"))["config"]
+    assert (config["subcommand"], config["jobs"], config["offline"]) == ("resolve", 2, True)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--top-k-fos", "0"),
+        ("--top-k-fos", "-3"),
+        ("--rate-limit", "0"),
+        ("--rate-limit", "-1"),
+        ("--rate-limit", "nan"),
+        ("--rate-limit", "inf"),
+        ("--jobs", "0"),
+    ],
+)
+def test_numeric_option_out_of_range_is_usage_error(corpus_20, tmp_path, warm_cache, capsys, option, value):
+    """Exit 2 from argparse before the stage starts: no ``--output`` is created."""
+    out = tmp_path / "out"
+    if option == "--top-k-fos":
+        argv = ["prepare", "--input", str(corpus_20), "--output", str(out)]
+    else:
+        argv = ["resolve", "--input", str(corpus_20), "--output", str(out),
+                "--cache", str(warm_cache), "--offline"]
+    with pytest.raises(SystemExit) as exited:
+        main(argv + [option, value])
+    assert exited.value.code == 2
+    assert f"{option}: expected a positive finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_leftover_staging_directory_is_user_error(corpus_20, tmp_path, capsys, caplog):

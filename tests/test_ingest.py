@@ -23,6 +23,8 @@ from ircmap.ingest import (
     parse_records,
     token_key,
 )
+from ircmap.resolver import resolve_corpus
+from ircmap.wikidata import CacheEntry, CacheStatus, CacheStore, Mode, WikidataClient
 
 
 @pytest.fixture
@@ -387,3 +389,45 @@ class TestFosMemo:
         assert memo_a is not memo_b
         assert {id(m) for m in memos} == {id(memo_a), id(memo_b)}
         assert len(memos) == 24
+
+
+_FIELD_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=12)
+
+
+@st.composite
+def _corpus_rows(draw):
+    """Mention rows for ``_render``: text that all three formats carry, ids padded with spaces.
+
+    Each paper's rows are contiguous, share one raw id and number their
+    authors from 0.  Ids are distinct once stripped, because the row formats
+    group rows by the stripped id and JSONL keeps each line a record.
+    """
+    affiliations = st.one_of(
+        _FIELD_TEXT,
+        st.sampled_from(["Oslo, Norway", "McGill University", "NA", "Dept. of CS, Paris, France", " Lund "]),
+    )
+    rows = []
+    for paper_id in draw(st.lists(_FIELD_TEXT, min_size=1, max_size=5, unique_by=str.strip)):
+        padded = draw(st.sampled_from(["", " ", "  "])) + paper_id + draw(st.sampled_from(["", " "]))
+        title, fos = draw(_FIELD_TEXT), draw(_FIELD_TEXT.filter(lambda t: "|" not in t))
+        year = str(draw(st.integers(1700, 2200)))
+        for i, affiliation in enumerate(draw(st.lists(affiliations, max_size=4))):
+            rows.append((padded, str(i), affiliation, title, year, fos))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_corpus_rows())
+def test_one_corpus_reads_the_same_in_every_format(rows, gazetteer, label_map):
+    """The same rows written as jsonl, csv and mag-tsv give equal records and equal offline resolutions."""
+    cache = CacheStore()
+    cache.put(CacheEntry("mcgill university", ("Canada",), CacheStatus.HIT, "2024-01-01T00:00:00+00:00"))
+    client = WikidataClient(cache=cache, label_map=label_map, mode=Mode.OFFLINE)
+    records, resolutions = {}, {}
+    for fmt in ("jsonl", "csv", "mag-tsv"):
+        records[fmt] = list(parse_records(io.StringIO(_render(fmt, rows)), fmt))
+        resolutions[fmt] = list(resolve_corpus(records[fmt], gazetteer, client))
+    assert records["csv"] == records["jsonl"]
+    assert records["mag-tsv"] == records["jsonl"]
+    assert resolutions["csv"] == resolutions["jsonl"]
+    assert resolutions["mag-tsv"] == resolutions["jsonl"]
