@@ -30,7 +30,7 @@ from urllib.parse import urlsplit
 
 from ircmap import __version__
 from ircmap.gazetteer import GazetteerError, build_gazetteer, default_data_dir
-from ircmap.ingest import Format, IngestError, parse_records
+from ircmap.ingest import Format, IngestError, parse_records, record_line
 from ircmap.metrics import ConsistencyError, MentionCountry, collapse_to_papers, compute_irc
 from ircmap.prep import DedupIndex, PrepStats, compute_fos_filter, dedup_overlap, filter_by_fos, filter_coauthored
 from ircmap.reports import write_breakdown, write_irc_stats, write_prep_report
@@ -198,21 +198,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         with open(out.stage / "prepared.jsonl", "w", encoding="utf-8") as handle:
             for record in stream:
                 stats.output_records += 1
-                handle.write(
-                    json.dumps(
-                        {
-                            "paper_id": record.paper_id,
-                            "title": record.title,
-                            "year": record.year,
-                            "fos": sorted(record.fos_terms),
-                            "doi": record.doi,
-                            "authors": [{"affiliation": m.raw} for m in record.mentions],
-                        },
-                        ensure_ascii=False,
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                handle.write(record_line(record))
         write_prep_report(out.stage, stats)
         inputs = [in_path]
         if args.overlap:
@@ -366,17 +352,26 @@ def cmd_report(args: argparse.Namespace) -> int:
     directory = Path(args.input)
     if not directory.is_dir():
         raise CliError(f"not a directory: {directory}")
-    if not (directory / "manifest.json").is_file():
+    manifest_path = directory / "manifest.json"
+    if not manifest_path.is_file():
         raise CliError(f"no manifest.json under {directory}: not the output of a completed stage")
-    found = False
-    for name in ("prep_report.txt", "breakdown.txt", "irc_stats.txt"):
-        path = directory / name
-        if path.is_file():
-            found = True
-            print(f"== {name}")
-            print(path.read_text(encoding="utf-8"))
-    if not found:
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError:  # not UTF-8 JSON
+        manifest = None
+    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not isinstance(outputs, list) or not all(isinstance(name, str) for name in outputs):
+        raise CliError(f"{manifest_path} is not a manifest: no list of outputs")
+    names = [name for name in outputs if name.endswith(".txt")]
+    if not names:
         raise CliError(f"no report artifacts found under {directory}")
+    try:
+        reports = [(name, (directory / name).read_text(encoding="utf-8")) for name in names]
+    except OSError as exc:
+        raise CliError(f"a report that {manifest_path} lists cannot be read: {exc}") from exc
+    for name, text in reports:
+        print(f"== {name}")
+        print(text)
     return 0
 
 
@@ -440,10 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also write enriched.csv next to enriched.jsonl")
 
     metrics_p = sub.add_parser("metrics", help="compute collaboration statistics")
-    metrics_p.add_argument("--input", required=True, help="enriched.jsonl from resolve")
+    metrics_p.add_argument("--input", required=True,
+                           help="enriched.jsonl from resolve; each paper's rows together")
     metrics_p.add_argument("--records", default=None,
-                           help="source corpus, for paper years; the enriched rows must follow "
-                                "its record order; recommended")
+                           help="the corpus resolve read, for paper years (default: years unknown)")
     metrics_p.add_argument("--records-format", choices=formats, default=Format.GENERIC_JSONL.value)
     metrics_p.add_argument("--output", required=True, help="output directory")
 

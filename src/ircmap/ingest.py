@@ -12,6 +12,9 @@ Three input formats are supported:
   ``{"paper_id", "title", "year", "fos": [...],
   "authors": [{"affiliation": ...}, ...]}`` with optional ``"doi"``.  An
   affiliation is a string or null (empty); any other type skips the record.
+  An author's optional ``"author_index"`` defaults to its position in
+  ``authors``; one that is not a non-negative integer, or repeats within
+  the record, skips the record.  :func:`record_line` writes this schema.
 
 The two row formats group contiguous rows with one ``paper_id`` into a
 record; a repeated ``author_index`` within that record is skipped.
@@ -48,6 +51,7 @@ __all__ = [
     "RecordReader",
     "normalize_affiliation",
     "parse_records",
+    "record_line",
     "token_key",
 ]
 
@@ -73,7 +77,8 @@ YEAR_MAX = 2100
 # Everything that is not a word character, whitespace, or comma becomes a
 # space; underscores count as punctuation too.
 _PUNCT_RE = re.compile(r"[^\w\s,]|_")
-_TAB_TOKEN_RE = re.compile(r"#tab#")
+#: The literal ``#TAB#`` token, in any case, that some exports leave in affiliations.
+_TAB_TOKEN_RE = re.compile(r"#tab#", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -208,11 +213,12 @@ def parse_records(
     Yields records in input order, the first one for each paper id.  Rows
     that violate the format's schema (missing paper id, unparsable author
     index, wrong column count, bad JSON, JSONL ``authors`` not a list or
-    holding an entry that is neither an object nor empty, ``fos`` not null,
-    a string or a list) or repeat a paper id already yielded are skipped and
-    counted in the report.  A file opened from a path is closed once the
-    stream is exhausted or closed; a caller's stream, text or binary, is
-    left open.
+    holding an entry that is neither an object nor empty, a JSONL
+    ``author_index`` that is not a non-negative integer or repeats, ``fos``
+    not null, a string or a list) or repeat a paper id already yielded are
+    skipped and counted in the report.  A file opened from a path is closed
+    once the stream is exhausted or closed; a caller's stream, text or
+    binary, is left open.
 
     Each reader keeps its own memo from FOS term to key, so a term repeated
     across records is normalized once.  The memo holds at most
@@ -282,12 +288,16 @@ def _open_text(source: Union[str, Path, IO[str], IO[bytes]]) -> IO[str]:
     return source  # duck-typed text stream
 
 
-def _json_affiliation(author: object) -> str:
-    """A JSONL author entry's affiliation; a null entry or value is empty."""
-    affiliation = (author or {}).get("affiliation")
+def _json_mention(paper_id: str, position: int, author: object) -> AffiliationMention:
+    """A JSONL author entry's mention; a null entry or affiliation is empty."""
+    author = author or {}
+    affiliation = author.get("affiliation")
     if not (affiliation is None or isinstance(affiliation, str)):
         raise TypeError(f"affiliation is not a string: {affiliation!r}")
-    return affiliation or ""
+    author_index = author.get("author_index", position)
+    if type(author_index) is not int or author_index < 0:  # a bool is not an index
+        raise TypeError(f"author_index is not a non-negative integer: {author_index!r}")
+    return AffiliationMention(paper_id, author_index, affiliation or "")
 
 
 def _iter_jsonl(
@@ -315,10 +325,11 @@ def _iter_jsonl(
             report.rows_skipped += 1
             continue
         try:
-            mentions = tuple(
-                AffiliationMention(paper_id, i, _json_affiliation(a)) for i, a in enumerate(authors)
-            )
-        except (AttributeError, TypeError):  # an author entry or affiliation of the wrong type
+            mentions = tuple(_json_mention(paper_id, i, a) for i, a in enumerate(authors))
+        except (AttributeError, TypeError):  # an author entry or one of its fields of the wrong type
+            report.rows_skipped += 1
+            continue
+        if len({m.author_index for m in mentions}) < len(mentions):
             report.rows_skipped += 1
             continue
         doi = obj.get("doi")
@@ -331,6 +342,33 @@ def _iter_jsonl(
             doi=str(doi) if doi else None,
         )
         yield record, 1
+
+
+def record_line(record: BibRecord) -> str:
+    """``record`` as one ``jsonl`` line, which :func:`parse_records` reads back as an equal record.
+
+    An author's ``author_index`` is written only where it differs from the
+    author's position, so a record whose authors are numbered from 0 gets
+    the plain schema.
+    """
+    authors = []
+    for position, mention in enumerate(record.mentions):
+        author = {"affiliation": mention.raw}
+        if mention.author_index != position:
+            author["author_index"] = mention.author_index
+        authors.append(author)
+    return json.dumps(
+        {
+            "paper_id": record.paper_id,
+            "title": record.title,
+            "year": record.year,
+            "fos": sorted(record.fos_terms),
+            "doi": record.doi,
+            "authors": authors,
+        },
+        ensure_ascii=False,
+        sort_keys=True,
+    ) + "\n"
 
 
 #: The columns of a mention row, in the order ``_row`` takes their values.

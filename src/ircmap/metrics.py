@@ -57,39 +57,32 @@ def collapse_to_papers(
     a :class:`Resolution`.  ``unresolved_mentions`` counts the paper's
     mentions without ``iso2``: the null-like and unidentified ones.
 
-    With ``records``, one merge-join pass yields each paper, in record order
-    with its record's year, as soon as its resolutions end.  They must come
-    in record order, each paper's together, as ``resolve`` writes them; a
-    record with none is an unmeasurable paper.  A duplicate record id, and a
-    resolution naming an unknown paper or one out of record order, are each
-    a fatal :class:`ConsistencyError`.  What grows with the corpus is the
-    set of ids seen: 30 to 60 bytes per record on 64-bit CPython, plus the
-    id string it keeps alive.
-
-    Without ``records``, all resolutions are read first: papers come in
-    order of first appearance, a paper's scattered resolutions are merged,
-    years are unknown, and memory grows with the number of papers.
+    Each paper is yielded as soon as its resolutions end, so a paper's
+    resolutions must be contiguous and in record order, as ``resolve`` writes
+    them.  With ``records``, papers come in record order with their record's
+    year, and a record with no resolutions is an unmeasurable paper.  Without,
+    record order is the order of first appearance and every year is ``None``.
+    A duplicate record id, and a resolution naming an unknown paper or one
+    out of record order, are each a fatal :class:`ConsistencyError`.  What
+    grows with the corpus is the set of ids seen: 30 to 60 bytes per paper on
+    64-bit CPython, plus the id string it keeps alive.
     """
-    if records is None:
-        by_paper: dict[str, list] = {}  # paper id -> [country set, unresolved count]
-        for resolution in resolutions:
-            paper = by_paper.get(resolution.paper_id)
-            if paper is None:
-                paper = by_paper[resolution.paper_id] = [set(), 0]
-            if resolution.iso2 is not None:
-                paper[0].add(resolution.iso2)
-            else:
-                paper[1] += 1
-        for paper_id, (countries, unresolved) in by_paper.items():
-            yield PaperCountrySet(paper_id, None, frozenset(countries), unresolved)
-        return
     rows = iter(resolutions)
     row = next(rows, None)
+    papers = None if records is None else iter(records)
     seen: set[str] = set()
-    for record in records:
-        paper_id = record.paper_id
-        if paper_id in seen:
-            raise ConsistencyError(f"duplicate paper id {paper_id!r} in records")
+    while True:
+        if papers is None:  # each run of rows with one paper id is a paper
+            if row is None:
+                break
+            paper_id, year = row.paper_id, None
+        else:
+            record = next(papers, None)
+            if record is None:
+                break
+            paper_id, year = record.paper_id, record.year
+            if paper_id in seen:
+                raise ConsistencyError(f"duplicate paper id {paper_id!r} in records")
         seen.add(paper_id)
         countries: set[str] = set()
         unresolved = 0
@@ -101,7 +94,7 @@ def collapse_to_papers(
             row = next(rows, None)
         if row is not None and row.paper_id in seen:
             raise ConsistencyError(f"resolution for paper {row.paper_id!r} is out of record order")
-        yield PaperCountrySet(paper_id, record.year, frozenset(countries), unresolved)
+        yield PaperCountrySet(paper_id, year, frozenset(countries), unresolved)
     if row is not None:
         raise ConsistencyError(f"resolution references unknown paper {row.paper_id!r}")
 

@@ -3,7 +3,9 @@
 All three steps are pure subset operations over a record stream: output is a
 subsequence of the input and records are never modified.  The intended
 composition (applied by the ``prepare`` command) is field-of-study filter,
-then cross-set deduplication, then removal of single-author records.
+then cross-set deduplication, then removal of single-author records;
+``prepare`` writes the survivors with :func:`ircmap.ingest.record_line`,
+which ``parse_records`` reads back as equal records, author indices included.
 """
 
 from __future__ import annotations

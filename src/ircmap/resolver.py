@@ -27,7 +27,6 @@ not identify.
 from __future__ import annotations
 
 import logging
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,6 +35,7 @@ from typing import Iterable, Iterator, Optional
 
 from ircmap.gazetteer import Gazetteer, Interpretation, KeyEntry
 from ircmap.ingest import (
+    _TAB_TOKEN_RE,
     AffiliationMention,
     BibRecord,
     NormalizedAffiliation,
@@ -187,7 +187,7 @@ def wikidata_fragments(raw: str) -> list[str]:
     letter).  Segments whose normalized form is shorter than four characters
     or consists only of numbers and stopwords are skipped.
     """
-    text = re.sub(r"#tab#", " ", raw, flags=re.IGNORECASE)
+    text = _TAB_TOKEN_RE.sub(" ", raw)
     fragments: list[str] = []
     for segment in reversed(text.split(",")):
         segment = " ".join(segment.split())

@@ -136,6 +136,22 @@ class TestPrepare:
         assert [json.loads(line)["paper_id"] for line in prepared] == ["q"]
         assert "skipped 1 malformed or duplicate rows" in caplog.text
 
+    def test_author_indices_survive_prepare(self, tmp_path, warm_cache):
+        """MAG numbers authors from 1: ``prepare`` then ``resolve`` keeps the indices ``resolve`` alone gives."""
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("p1\t1\tParis, France\tT\t2001\tai\np1\t3\tOslo, Norway\tT\t2001\tai\n",
+                          encoding="utf-8")
+        prep = tmp_path / "prep"
+        assert main(["prepare", "--input", str(corpus), "--format", "mag-tsv", "--output", str(prep)]) == 0
+        indices = []
+        for source, fmt in ((corpus, "mag-tsv"), (prep / "prepared.jsonl", "jsonl")):
+            out = tmp_path / f"resolved-{fmt}"
+            assert main(["resolve", "--input", str(source), "--format", fmt, "--output", str(out),
+                         "--cache", str(warm_cache), "--offline"]) == 0
+            rows = (out / "enriched.jsonl").read_text(encoding="utf-8").splitlines()
+            indices.append([json.loads(line)["author_index"] for line in rows])
+        assert indices == [[1, 3], [1, 3]]
+
     def test_manifest_written_with_digests(self, corpus_20, tmp_path):
         out = tmp_path / "out"
         main(["prepare", "--input", str(corpus_20), "--output", str(out)])
@@ -565,6 +581,21 @@ class TestMetrics:
         assert "Traceback" not in caplog.text
         assert _snapshot(out) == before
 
+    def test_without_records_non_contiguous_rows_are_user_error(self, tmp_path, warm_cache, capsys, caplog):
+        corpus, enriched = self._resolve_fixture(tmp_path, warm_cache)
+        out = tmp_path / "stats"
+        argv = ["metrics", "--input", str(enriched), "--output", str(out)]
+        assert main(argv) == 0
+        before = _snapshot(out)
+        rows = [json.loads(line) for line in enriched.read_text(encoding="utf-8").splitlines()]
+        rows.append(rows.pop(0))  # p1's first row after p2's rows
+        _write_jsonl(enriched, rows)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "ircmap: error: resolution for paper 'p1' is out of record order\n"
+        assert "Traceback" not in caplog.text
+        assert _snapshot(out) == before
+
     def test_per_year_csv_sums_to_global(self, tmp_path, warm_cache):
         corpus, enriched = self._resolve_fixture(tmp_path, warm_cache)
         out = tmp_path / "stats"
@@ -665,6 +696,51 @@ class TestReport:
         assert main(["report", "--input", str(stray)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"ircmap: error: no manifest.json under {stray}")
+        assert captured.out == ""
+        assert "Traceback" not in caplog.text
+
+
+    def test_prints_only_the_reports_the_manifest_lists(self, tmp_path, warm_cache, capsys):
+        """``prepare`` after ``resolve`` in one directory: ``breakdown.txt`` is stale and not printed."""
+        corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", "Lund, Sweden"])])
+        out = tmp_path / "out"
+        assert main(["resolve", "--input", str(corpus), "--output", str(out),
+                     "--cache", str(warm_cache), "--offline"]) == 0
+        assert main(["prepare", "--input", str(corpus), "--output", str(out)]) == 0
+        assert (out / "breakdown.txt").is_file()
+        capsys.readouterr()
+        assert main(["report", "--input", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("== prep_report.txt\n")
+        assert "breakdown.txt" not in printed
+        assert "Affiliations" not in printed
+
+    def test_listed_report_missing_is_error(self, tmp_path, warm_cache, capsys, caplog):
+        corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", "Lund, Sweden"])])
+        out = tmp_path / "out"
+        assert main(["resolve", "--input", str(corpus), "--output", str(out),
+                     "--cache", str(warm_cache), "--offline"]) == 0
+        (out / "breakdown.txt").unlink()
+        capsys.readouterr()
+        assert main(["report", "--input", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"ircmap: error: a report that {out / 'manifest.json'} lists cannot be read")
+        assert captured.out == ""
+        assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize("manifest", ["{not json", "[]", '{"tool": "ircmap"}', '{"outputs": "breakdown.txt"}',
+                                          '{"outputs": [1]}'],
+                             ids=["not-json", "not-an-object", "no-outputs", "outputs-not-a-list",
+                                  "output-not-a-name"])
+    def test_manifest_without_outputs_list_is_error(self, tmp_path, capsys, caplog, manifest):
+        directory = tmp_path / "run"
+        directory.mkdir()
+        (directory / "breakdown.txt").write_text("Affiliations  3\n", encoding="utf-8")
+        (directory / "manifest.json").write_text(manifest, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--input", str(directory)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"ircmap: error: {directory / 'manifest.json'} is not a manifest: no list of outputs\n"
         assert captured.out == ""
         assert "Traceback" not in caplog.text
 

@@ -21,6 +21,7 @@ from ircmap.ingest import (
     IngestError,
     normalize_affiliation,
     parse_records,
+    record_line,
     token_key,
 )
 from ircmap.resolver import resolve_corpus
@@ -45,7 +46,8 @@ def resource_warnings_fail(monkeypatch):
 def _render(fmt, rows):
     """Mention rows ``(paper_id, author_index, affiliation, title, year, fos)`` as ``fmt`` input.
 
-    For JSONL, each run of rows with one paper id becomes one record.
+    For JSONL, each run of rows with one paper id becomes one record, and
+    each author carries its ``author_index``.
     """
     if fmt == "mag-tsv":
         return "".join("\t".join(row) + "\n" for row in rows)
@@ -54,7 +56,7 @@ def _render(fmt, rows):
         for paper_id, group in groupby(rows, itemgetter(0)):
             group = list(group)
             _, _, _, title, year, fos = group[0]
-            authors = [{"affiliation": row[2]} for row in group]
+            authors = [{"affiliation": row[2], "author_index": int(row[1])} for row in group]
             record = {"paper_id": paper_id, "title": title, "year": int(year), "fos": [fos], "authors": authors}
             lines.append(json.dumps(record) + "\n")
         return "".join(lines)
@@ -187,6 +189,23 @@ class TestParseRecords:
         (record,) = list(reader)
         assert record.paper_id == "p2"
         assert [m.raw for m in record.mentions] == ["", "B"]  # a null affiliation is empty
+        assert reader.report.rows_skipped == 1
+
+    def test_author_index_defaults_to_position(self):
+        row = {"paper_id": "p1", "authors": [{"affiliation": "A", "author_index": 3}, {"affiliation": "B"}, None]}
+        (record,) = parse_records(io.StringIO(json.dumps(row) + "\n"), Format.GENERIC_JSONL)
+        assert [(m.author_index, m.raw) for m in record.mentions] == [(3, "A"), (1, "B"), (2, "")]
+
+    @pytest.mark.parametrize("author_index", [-1, 1.5, True, "2", None, 2],
+                             ids=["negative", "fractional", "true", "string", "null", "repeated"])
+    def test_author_index_neither_non_negative_integer_nor_unique_skipped(self, author_index):
+        rows = [
+            {"paper_id": "p1", "authors": [{"affiliation": "A"}, {"affiliation": "B", "author_index": author_index},
+                                           {"affiliation": "C"}]},
+            {"paper_id": "p2", "authors": [{"affiliation": "D", "author_index": 0}]},
+        ]
+        reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
+        assert [r.paper_id for r in reader] == ["p2"]
         assert reader.report.rows_skipped == 1
 
     def test_mag_tsv_mention_raw_preserved(self):
@@ -398,9 +417,10 @@ _FIELD_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"
 def _corpus_rows(draw):
     """Mention rows for ``_render``: text that all three formats carry, ids padded with spaces.
 
-    Each paper's rows are contiguous, share one raw id and number their
-    authors from 0.  Ids are distinct once stripped, because the row formats
-    group rows by the stripped id and JSONL keeps each line a record.
+    Each paper's rows are contiguous, share one raw id and carry distinct
+    author indices in any order, not only ``0, 1, ...``.  Ids are distinct
+    once stripped, because the row formats group rows by the stripped id
+    and JSONL keeps each line a record.
     """
     affiliations = st.one_of(
         _FIELD_TEXT,
@@ -411,8 +431,9 @@ def _corpus_rows(draw):
         padded = draw(st.sampled_from(["", " ", "  "])) + paper_id + draw(st.sampled_from(["", " "]))
         title, fos = draw(_FIELD_TEXT), draw(_FIELD_TEXT.filter(lambda t: "|" not in t))
         year = str(draw(st.integers(1700, 2200)))
-        for i, affiliation in enumerate(draw(st.lists(affiliations, max_size=4))):
-            rows.append((padded, str(i), affiliation, title, year, fos))
+        authors = draw(st.lists(st.tuples(st.integers(0, 6), affiliations), max_size=4, unique_by=itemgetter(0)))
+        for author_index, affiliation in authors:
+            rows.append((padded, str(author_index), affiliation, title, year, fos))
     return rows
 
 
@@ -431,3 +452,18 @@ def test_one_corpus_reads_the_same_in_every_format(rows, gazetteer, label_map):
     assert records["mag-tsv"] == records["jsonl"]
     assert resolutions["csv"] == resolutions["jsonl"]
     assert resolutions["mag-tsv"] == resolutions["jsonl"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_corpus_rows())
+def test_record_lines_read_back_as_the_same_records(rows):
+    """``record_line`` writes what ``parse_records`` reads back unchanged, author indices included."""
+    for fmt in ("jsonl", "csv", "mag-tsv"):
+        records = list(parse_records(io.StringIO(_render(fmt, rows)), fmt))
+        lines = "".join(record_line(record) for record in records)
+        assert list(parse_records(io.StringIO(lines), Format.GENERIC_JSONL)) == records
+
+
+def test_record_line_writes_author_index_only_off_position():
+    (record,) = parse_records(io.StringIO("p1\t0\tA\tT\t2001\tai\np1\t2\tB\tT\t2001\tai\n"), Format.MAG_TSV)
+    assert json.loads(record_line(record))["authors"] == [{"affiliation": "A"}, {"affiliation": "B", "author_index": 2}]

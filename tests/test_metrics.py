@@ -104,8 +104,8 @@ class TestCollapseToPapers:
     def test_without_records_papers_in_first_appearance_order(self):
         resolutions = [
             _resolution("p2", 0, "CA"),
-            _resolution("p1", 0, "NZ"),
             _resolution("p2", 1, category=Category.NULL_LIKE),
+            _resolution("p1", 0, "NZ"),
             _resolution("p1", 1, "FR"),
         ]
         assert list(collapse_to_papers(resolutions)) == [
@@ -194,12 +194,26 @@ class TestCollapseToPapers:
         with pytest.raises(ConsistencyError, match=r"^resolution references unknown paper 'ghost'$"):
             list(collapse_to_papers(rows, records))
 
-    def test_without_records_non_contiguous_rows_merge(self):
+    def test_without_records_non_contiguous_rows_are_fatal(self):
         rows = [_resolution("p1", 0, "CA"), _resolution("p2", 0, "US"), _resolution("p1", 1, "NZ")]
-        assert list(collapse_to_papers(rows)) == [
-            _paper("p1", {"CA", "NZ"}, year=None),
-            _paper("p2", {"US"}, year=None),
-        ]
+        papers = collapse_to_papers(rows)
+        assert next(papers) == _paper("p1", {"CA"}, year=None)
+        with pytest.raises(ConsistencyError, match=r"^resolution for paper 'p1' is out of record order$"):
+            next(papers)
+
+    def test_without_records_first_paper_yielded_when_its_rows_end(self):
+        """The second paper's first row ends the first paper: three rows are read, not all 100."""
+        pulled = []
+
+        def rows():
+            for i in range(50):
+                for j in range(2):
+                    pulled.append((i, j))
+                    yield _resolution(f"p{i}", j, "CA")
+
+        papers = collapse_to_papers(rows())
+        assert next(papers) == _paper("p0", {"CA"}, year=None)
+        assert pulled == [(0, 0), (0, 1), (1, 0)]
 
 
 class TestComputeIrc:
