@@ -221,7 +221,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_client(args: argparse.Namespace, gazetteer) -> WikidataClient:
+def _build_client(args: argparse.Namespace, gazetteer, data_dir: Path) -> WikidataClient:
     if not args.offline:
         endpoint = urlsplit(args.endpoint)
         if endpoint.scheme not in ("http", "https") or not endpoint.hostname:
@@ -230,7 +230,6 @@ def _build_client(args: argparse.Namespace, gazetteer) -> WikidataClient:
     if args.offline and not cache_path.is_file():
         raise CliError(f"offline mode requires an existing cache file: {cache_path}")
     cache = CacheStore(cache_path)
-    data_dir = Path(args.gazetteer) if args.gazetteer else default_data_dir()
     label_map = LabelMap.from_gazetteer(gazetteer, data_dir / "wikidata_labels.tsv")
     return WikidataClient(
         cache=cache,
@@ -246,7 +245,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     with OutputSet(Path(args.output)) as out:
         data_dir = Path(args.gazetteer) if args.gazetteer else default_data_dir()
         gazetteer = build_gazetteer(data_dir, include_extension=args.extended_parts)
-        client = _build_client(args, gazetteer)
+        client = _build_client(args, gazetteer, data_dir)
 
         reader = parse_records(in_path, Format(args.format))
         run = resolve_corpus(reader, gazetteer, client, jobs=args.jobs)

@@ -14,8 +14,9 @@ comments):
 
 All names and aliases are normalized at load time with the same rules applied
 to affiliation strings, so lookups take normalized, comma-free token strings.
-Duplicate keys (within a table or across the two tables) abort the build
-unless covered by an ambiguity entry.
+A key with two meanings (two countries, two parts, or a country and a part)
+aborts the build, naming the key and both lines, unless an ambiguity entry
+claims it.
 """
 
 from __future__ import annotations
@@ -120,52 +121,54 @@ class Gazetteer:
     """Immutable place-name tables; safe for unrestricted concurrent reads.
 
     ``keys`` maps every normalized key to its :class:`KeyEntry`: the
-    ambiguity table's entries as they are, and each plain country and part
-    key as a single interpretation.  ``country_key_map``, ``part_key_map``
-    and ``ambiguity`` split the same keys into three disjoint maps.
+    ambiguity table's entries as they are, and every other country or part
+    key with its one interpretation.  ``country_key_map``, ``part_key_map``
+    and ``ambiguity`` are read-only views that split the same keys three
+    ways: a plain country key to its ISO code, a plain part key to
+    ``(parent_iso2, part_name, abbreviation)``, and a contested key to its
+    entry.
     """
 
     def __init__(
         self,
         countries: dict[str, CountryEntry],
         parts: tuple[ComponentPartEntry, ...],
-        country_keys: dict[str, str],
-        part_keys: dict[str, tuple[str, str, bool]],
-        ambiguity: dict[str, KeyEntry],
+        keys: dict[str, KeyEntry],
     ):
         self.countries: Mapping[str, CountryEntry] = MappingProxyType(countries)
         self.parts = parts
-        self.country_key_map: Mapping[str, str] = MappingProxyType(country_keys)
-        self.part_key_map: Mapping[str, tuple[str, str, bool]] = MappingProxyType(part_keys)
-        self.ambiguity: Mapping[str, KeyEntry] = MappingProxyType(ambiguity)
-        keys = {
-            key: KeyEntry(key, (Interpretation("country", iso2),), frozenset())
-            for key, iso2 in country_keys.items()
-        }
-        for key, (parent, part_name, is_abbrev) in part_keys.items():
-            keys[key] = KeyEntry(
-                key, (Interpretation("part", parent, part_name, is_abbrev),), frozenset()
-            )
-        keys.update(ambiguity)
         self.keys: Mapping[str, KeyEntry] = MappingProxyType(keys)
+        plain = {k: e.interpretations[0] for k, e in keys.items() if len(e.interpretations) == 1}
+        self.country_key_map: Mapping[str, str] = MappingProxyType(
+            {k: i.iso2 for k, i in plain.items() if i.kind == "country"}
+        )
+        self.part_key_map: Mapping[str, tuple[str, str, bool]] = MappingProxyType(
+            {k: (i.iso2, i.part_name, i.abbreviation) for k, i in plain.items() if i.kind == "part"}
+        )
+        self.ambiguity: Mapping[str, KeyEntry] = MappingProxyType(
+            {k: e for k, e in keys.items() if len(e.interpretations) > 1}
+        )
 
 
 def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Gazetteer:
     """Load and validate the gazetteer tables under ``data_dir``.
 
-    Aborts with :class:`GazetteerError` (naming file and line) on missing or
-    malformed tables and on duplicate normalized keys not covered by the
-    ambiguity table.
+    Each key's meanings (a country, or a part of one) are collected with the
+    ``file:line`` that first claimed each.  Aborts with
+    :class:`GazetteerError` on missing or malformed tables (naming file and
+    line) and, once the ambiguity table is read, on a key with two meanings
+    that no ambiguity entry claims (naming the key and both lines).
     """
     data_dir = Path(data_dir)
+    # key -> {(kind, iso2, part_name): (interpretation, "file:line")}; the
+    # first claim of a meaning wins.
+    meanings: dict[str, dict[tuple, tuple[Interpretation, str]]] = {}
 
-    # Duplicate keys are collected here and only become fatal after the
-    # ambiguity table has had a chance to claim them.
-    conflicts: dict[str, str] = {}
+    def claim(key: str, interp: Interpretation, origin: str) -> None:
+        meaning = (interp.kind, interp.iso2, interp.part_name)
+        meanings.setdefault(key, {}).setdefault(meaning, (interp, origin))
 
     countries: dict[str, CountryEntry] = {}
-    country_keys: dict[str, str] = {}
-    country_key_origin: dict[str, str] = {}
     countries_path = data_dir / COUNTRIES_FILE
     for lineno, fields in _read_table(countries_path, 2, 3):
         iso2 = fields[0].strip().upper()
@@ -177,26 +180,17 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
         if not canonical:
             raise GazetteerError(f"{countries_path}:{lineno}: empty canonical name")
         raw_aliases = fields[2].split("|") if len(fields) == 3 and fields[2].strip() else []
-        keys = {token_key(canonical)}
-        keys.update(token_key(a) for a in raw_aliases if a.strip())
-        keys.discard("")
-        if not keys:
+        names = {token_key(canonical)}
+        names.update(token_key(a) for a in raw_aliases if a.strip())
+        names.discard("")
+        if not names:
             raise GazetteerError(f"{countries_path}:{lineno}: no usable name for {iso2}")
-        for key in sorted(keys):
-            other = country_keys.get(key)
-            if other is not None and other != iso2:
-                conflicts[key] = (
-                    f"{COUNTRIES_FILE}:{lineno}: alias {key!r} maps to both "
-                    f"{other} ({country_key_origin[key]}) and {iso2}"
-                )
-                continue
-            country_keys[key] = iso2
-            country_key_origin[key] = f"{COUNTRIES_FILE}:{lineno}"
-        countries[iso2] = CountryEntry(iso2, canonical, frozenset(keys))
+        interp, origin = Interpretation("country", iso2), f"{COUNTRIES_FILE}:{lineno}"
+        for key in sorted(names):
+            claim(key, interp, origin)
+        countries[iso2] = CountryEntry(iso2, canonical, frozenset(names))
 
     parts: list[ComponentPartEntry] = []
-    part_keys: dict[str, tuple[str, str, bool]] = {}
-    part_key_origin: dict[str, str] = {}
     part_files = [data_dir / PARTS_FILE]
     if include_extension:
         part_files.append(data_dir / PARTS_EXTENSION_FILE)
@@ -217,27 +211,21 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
             parts.append(entry)
             keyed = [(token_key(part_name), False)]
             keyed += [(token_key(a), True) for a in abbrevs]
+            origin = f"{path.name}:{lineno}"
             for key, is_abbrev in keyed:
                 if not key:
                     raise GazetteerError(f"{path}:{lineno}: empty key for part {part_name!r}")
-                other = part_keys.get(key)
-                if other is not None and (other[0], other[1]) != (parent, part_name):
-                    conflicts[key] = (
-                        f"{path.name}:{lineno}: key {key!r} maps to both "
-                        f"{other[1]} ({part_key_origin[key]}) and {part_name}"
-                    )
-                    continue
-                if key not in part_keys:
-                    part_keys[key] = (parent, part_name, is_abbrev)
-                    part_key_origin[key] = f"{path.name}:{lineno}"
+                claim(key, Interpretation("part", parent, part_name, is_abbrev), origin)
+    loaded_parts = {(p.parent_iso2, p.part_name) for p in parts}
 
-    ambiguity: dict[str, KeyEntry] = {}
+    # The ambiguity table's entries go in first and own their key.
+    keys: dict[str, KeyEntry] = {}
     ambiguity_path = data_dir / AMBIGUITY_FILE
     for lineno, fields in _read_table(ambiguity_path, 2, 3):
         token = token_key(fields[0])
         if not token:
             raise GazetteerError(f"{ambiguity_path}:{lineno}: empty token")
-        if token in ambiguity:
+        if token in keys:
             raise GazetteerError(f"{ambiguity_path}:{lineno}: duplicate token {token!r}")
         interps: list[Interpretation] = []
         for item in fields[1].split("|"):
@@ -255,8 +243,7 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
             elif pieces[0] == "part" and len(pieces) == 3:
                 iso2 = pieces[1].strip().upper()
                 name = pieces[2].strip()
-                exists = any(p.part_name == name and p.parent_iso2 == iso2 for p in parts)
-                if not exists:
+                if (iso2, name) not in loaded_parts:
                     # Interpretations pointing at a table that is not loaded
                     # (e.g. the extension file) are dropped, not fatal.
                     continue
@@ -270,25 +257,20 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
         markers = frozenset(
             token_key(m) for m in (fields[2].split("|") if len(fields) == 3 else []) if m.strip()
         ) - {""}
-        ambiguity[token] = KeyEntry(token, tuple(interps), markers)
+        keys[token] = KeyEntry(token, tuple(interps), markers)
 
-    # Any duplicate key, within a table or across the two tables, must be
-    # disambiguated explicitly.
-    unresolved = {key: msg for key, msg in conflicts.items() if key not in ambiguity}
-    if unresolved:
-        first = next(iter(unresolved.values()))
-        raise GazetteerError(f"{first}; add an ambiguity entry or remove one")
-    overlap = set(country_keys) & set(part_keys)
-    uncovered = sorted(overlap - set(ambiguity))
-    if uncovered:
-        raise GazetteerError(
-            f"{data_dir}: tokens present in both the country and component-part "
-            f"tables but missing from {AMBIGUITY_FILE}: {uncovered}"
-        )
-    # Ambiguity entries own their token; drop it from the plain maps so every
-    # plain key stays single-valued.
-    for token in ambiguity:
-        country_keys.pop(token, None)
-        part_keys.pop(token, None)
-
-    return Gazetteer(countries, tuple(parts), country_keys, part_keys, ambiguity)
+    # Any other key with two meanings, within a table or across tables, must
+    # be disambiguated explicitly.
+    for key, claims in meanings.items():
+        if key in keys:
+            continue
+        if len(claims) > 1:
+            (first, first_origin), (second, second_origin) = list(claims.values())[:2]
+            raise GazetteerError(
+                f"{second_origin}: key {key!r} means both {first.part_name or first.iso2} "
+                f"({first_origin}) and {second.part_name or second.iso2}; "
+                "add an ambiguity entry or remove one"
+            )
+        ((interp, _),) = claims.values()
+        keys[key] = KeyEntry(key, (interp,), frozenset())
+    return Gazetteer(countries, tuple(parts), keys)

@@ -10,8 +10,10 @@ Three input formats are supported:
   (paper, author).
 * ``jsonl``    -- one record object per line:
   ``{"paper_id", "title", "year", "fos": [...],
-  "authors": [{"affiliation": ...}, ...]}`` with optional ``"doi"``.  An
-  affiliation is a string or null (empty); any other type skips the record.
+  "authors": [{"affiliation": ...}, ...]}`` with optional ``"doi"``.  A
+  paper id is a non-blank string or an integer, and a title a string or
+  null (empty); an affiliation is a string or null (empty).  Any other type
+  skips the record.
   An author's optional ``"author_index"`` defaults to its position in
   ``authors``; one that is not a non-negative integer, or repeats within
   the record, skips the record.  :func:`record_line` writes this schema.
@@ -315,8 +317,11 @@ def _iter_jsonl(
         if not isinstance(obj, dict):
             report.rows_skipped += 1
             continue
-        paper_id = str(obj.get("paper_id") or "").strip()
-        if not paper_id:
+        paper_id, title = obj.get("paper_id"), obj.get("title")
+        if type(paper_id) is int:  # a bool is not an id
+            paper_id = str(paper_id)
+        paper_id = paper_id.strip() if isinstance(paper_id, str) else ""
+        if not paper_id or not (title is None or isinstance(title, str)):
             report.rows_skipped += 1
             continue
         authors = obj.get("authors") or []
@@ -335,7 +340,7 @@ def _iter_jsonl(
         doi = obj.get("doi")
         record = BibRecord(
             paper_id=paper_id,
-            title=str(obj.get("title") or ""),
+            title=title or "",
             year=_parse_year(obj.get("year")) if obj.get("year") is not None else None,
             fos_terms=_parse_fos(fos, fos_memo),
             mentions=mentions,

@@ -92,7 +92,8 @@ class DedupIndex:
 
     Matching is by normalized title + year, upgraded to DOI equality when
     both records carry a DOI (same title/year but different DOIs are treated
-    as distinct papers).
+    as distinct papers).  A record whose normalized title is empty has no
+    title key and matches only by DOI.
     """
 
     def __init__(self):
@@ -107,9 +108,8 @@ class DedupIndex:
             key = title_year_key(record)
             if record.doi:
                 index.dois.add(_normalize_doi(record.doi))
-                index.title_year_with_doi.add(key)
-            else:
-                index.title_year_plain.add(key)
+            if key[0]:
+                (index.title_year_with_doi if record.doi else index.title_year_plain).add(key)
         return index
 
     def matches(self, record: BibRecord) -> bool:

@@ -144,14 +144,17 @@ class CacheEntry:
 
     @classmethod
     def from_json(cls, line: str) -> "CacheEntry":
+        """Parse one cache line; raises ValueError if it is JSON but not an entry."""
         obj = json.loads(line)
-        return cls(
-            key=obj["key"],
-            countries=tuple(obj.get("countries") or ()),
-            status=CacheStatus(obj["status"]),
-            retrieved_at=obj["retrieved_at"],
-            detail=obj.get("detail", ""),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        key, retrieved_at, detail = obj.get("key"), obj.get("retrieved_at"), obj.get("detail", "")
+        countries = obj.get("countries") or []
+        if not isinstance(countries, list) or not all(
+            isinstance(text, str) for text in (key, retrieved_at, detail, *countries)
+        ):
+            raise ValueError("a field is missing or has the wrong type")
+        return cls(key, tuple(countries), CacheStatus(obj["status"]), retrieved_at, detail)
 
 
 def _utc_now() -> datetime:

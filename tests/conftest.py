@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from ircmap.gazetteer import build_gazetteer, default_data_dir
 from ircmap.wikidata import CacheStore, LabelMap, Mode, ReplayTransport, WikidataClient
 
 from support import REPLAY_DIR, CountingTransport
+
+# The "ci" profile prints a failing example's @reproduce_failure blob, so a
+# property that fails only in CI can be replayed locally.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

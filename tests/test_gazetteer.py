@@ -1,15 +1,25 @@
 from __future__ import annotations
 
+import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ircmap.gazetteer import (
     AMBIGUITY_FILE,
     COUNTRIES_FILE,
+    PARTS_EXTENSION_FILE,
     PARTS_FILE,
+    ComponentPartEntry,
+    CountryEntry,
     GazetteerError,
     Interpretation,
+    KeyEntry,
+    _read_table,
     build_gazetteer,
 )
 from ircmap.ingest import token_key
@@ -90,6 +100,232 @@ class TestBuild:
         assert dict(first.part_key_map) == dict(second.part_key_map)
         assert set(first.ambiguity) == set(second.ambiguity)
         assert dict(first.keys) == dict(second.keys)
+
+
+def _write_tables(work, countries="", parts="", extension=None, ambiguity=""):
+    work.mkdir(exist_ok=True)
+    (work / COUNTRIES_FILE).write_text(countries, encoding="utf-8")
+    (work / PARTS_FILE).write_text(parts, encoding="utf-8")
+    (work / AMBIGUITY_FILE).write_text(ambiguity, encoding="utf-8")
+    if extension is not None:
+        (work / PARTS_EXTENSION_FILE).write_text(extension, encoding="utf-8")
+    return work
+
+
+class TestConflictMessages:
+    """A key with two meanings and no ambiguity entry names both lines."""
+
+    def test_country_and_country(self, tmp_path):
+        work = _write_tables(tmp_path / "t", countries="CA\tCanada\tCAN\nXX\tExampleland\tcanada\n")
+        message = "countries.tsv:2: key 'canada' means both CA (countries.tsv:1) and XX; add an ambiguity entry"
+        with pytest.raises(GazetteerError, match=re.escape(message)):
+            build_gazetteer(work)
+
+    def test_part_and_part(self, tmp_path):
+        work = _write_tables(
+            tmp_path / "t",
+            countries="US\tUnited States\tUSA\n",
+            parts="Massachusetts\tMA|Mass\tUS\nMaine\tME|MA\tUS\n",
+        )
+        message = (
+            "component_parts.tsv:2: key 'ma' means both Massachusetts (component_parts.tsv:1) and Maine; "
+            "add an ambiguity entry"
+        )
+        with pytest.raises(GazetteerError, match=re.escape(message)):
+            build_gazetteer(work)
+
+    def test_country_and_part(self, tmp_path):
+        work = _write_tables(
+            tmp_path / "t",
+            countries="US\tUnited States\tUSA\nGE\tGeorgia\tGEO\n",
+            parts="Georgia\tGA\tUS\n",
+        )
+        message = (
+            "component_parts.tsv:1: key 'georgia' means both GE (countries.tsv:2) and Georgia; "
+            "add an ambiguity entry"
+        )
+        with pytest.raises(GazetteerError, match=re.escape(message)):
+            build_gazetteer(work)
+
+    def test_part_in_extension_and_country(self, tmp_path):
+        work = _write_tables(
+            tmp_path / "t",
+            countries="AU\tAustralia\tAUS\nWW\tWestland\tWA\n",
+            extension="Western Australia\tWA\tAU\n",
+        )
+        assert "wa" in build_gazetteer(work).country_key_map
+        message = "component_parts_extension.tsv:1: key 'wa' means both WW (countries.tsv:2) and Western Australia"
+        with pytest.raises(GazetteerError, match=re.escape(message)):
+            build_gazetteer(work, include_extension=True)
+
+    def test_ambiguity_entry_claims_the_key(self, tmp_path):
+        work = _write_tables(
+            tmp_path / "t",
+            countries="US\tUnited States\tUSA\nGE\tGeorgia\tGEO\n",
+            parts="Georgia\tGA\tUS\n",
+            ambiguity="georgia\tcountry:GE|part:US:Georgia\tatlanta\n",
+        )
+        g = build_gazetteer(work)
+        assert g.keys["georgia"] == KeyEntry(
+            "georgia",
+            (Interpretation("country", "GE"), Interpretation("part", "US", "Georgia")),
+            frozenset({"atlanta"}),
+        )
+        assert dict(g.ambiguity) == {"georgia": g.keys["georgia"]}
+        assert "georgia" not in g.country_key_map and "georgia" not in g.part_key_map
+
+
+def _oracle_build(data_dir, include_extension=False):
+    """Reference for ``build_gazetteer``: the builder that kept three maps.
+
+    It checks conflicts within each table, then across the two tables, and
+    pops the ambiguity table's tokens from the plain maps.  Returns
+    ``(countries, parts, country_keys, part_keys, ambiguity, keys)``.
+    """
+    conflicts = {}
+    countries, country_keys = {}, {}
+    for lineno, fields in _read_table(data_dir / COUNTRIES_FILE, 2, 3):
+        iso2 = fields[0].strip().upper()
+        canonical = fields[1].strip()
+        if len(iso2) != 2 or not iso2.isalpha() or iso2 in countries or not canonical:
+            raise GazetteerError(f"bad country line {lineno}")
+        raw_aliases = fields[2].split("|") if len(fields) == 3 and fields[2].strip() else []
+        keys = {token_key(canonical)}
+        keys.update(token_key(a) for a in raw_aliases if a.strip())
+        keys.discard("")
+        if not keys:
+            raise GazetteerError(f"no usable name on line {lineno}")
+        for key in sorted(keys):
+            other = country_keys.get(key)
+            if other is not None and other != iso2:
+                conflicts[key] = "country conflict"
+                continue
+            country_keys[key] = iso2
+        countries[iso2] = CountryEntry(iso2, canonical, frozenset(keys))
+
+    parts, part_keys = [], {}
+    part_files = [data_dir / PARTS_FILE] + ([data_dir / PARTS_EXTENSION_FILE] if include_extension else [])
+    for path in part_files:
+        for lineno, fields in _read_table(path, 3, 3):
+            part_name = fields[0].strip()
+            abbrevs = [a for a in fields[1].split("|") if a.strip()]
+            parent = fields[2].strip().upper()
+            if not part_name or parent not in countries:
+                raise GazetteerError(f"bad part line {lineno}")
+            parts.append(ComponentPartEntry(part_name, frozenset(token_key(a) for a in abbrevs), parent))
+            keyed = [(token_key(part_name), False)] + [(token_key(a), True) for a in abbrevs]
+            for key, is_abbrev in keyed:
+                if not key:
+                    raise GazetteerError(f"empty part key on line {lineno}")
+                other = part_keys.get(key)
+                if other is not None and (other[0], other[1]) != (parent, part_name):
+                    conflicts[key] = "part conflict"
+                    continue
+                if key not in part_keys:
+                    part_keys[key] = (parent, part_name, is_abbrev)
+
+    ambiguity = {}
+    for lineno, fields in _read_table(data_dir / AMBIGUITY_FILE, 2, 3):
+        token = token_key(fields[0])
+        if not token or token in ambiguity:
+            raise GazetteerError(f"bad ambiguity token on line {lineno}")
+        interps = []
+        for item in fields[1].split("|"):
+            item = item.strip()
+            if not item:
+                continue
+            pieces = item.split(":")
+            if pieces[0] == "country" and len(pieces) == 2:
+                iso2 = pieces[1].strip().upper()
+                if iso2 not in countries:
+                    raise GazetteerError(f"unknown country on line {lineno}")
+                interps.append(Interpretation("country", iso2))
+            elif pieces[0] == "part" and len(pieces) == 3:
+                iso2 = pieces[1].strip().upper()
+                name = pieces[2].strip()
+                if any(p.part_name == name and p.parent_iso2 == iso2 for p in parts):
+                    interps.append(Interpretation("part", iso2, name, token != token_key(name)))
+            else:
+                raise GazetteerError(f"bad interpretation on line {lineno}")
+        if len(interps) < 2:
+            continue
+        markers = frozenset(
+            token_key(m) for m in (fields[2].split("|") if len(fields) == 3 else []) if m.strip()
+        ) - {""}
+        ambiguity[token] = KeyEntry(token, tuple(interps), markers)
+
+    if set(conflicts) - set(ambiguity) or (set(country_keys) & set(part_keys)) - set(ambiguity):
+        raise GazetteerError("duplicate key not covered by the ambiguity table")
+    for token in ambiguity:
+        country_keys.pop(token, None)
+        part_keys.pop(token, None)
+    keys = {key: KeyEntry(key, (Interpretation("country", iso2),), frozenset()) for key, iso2 in country_keys.items()}
+    for key, (parent, part_name, is_abbrev) in part_keys.items():
+        keys[key] = KeyEntry(key, (Interpretation("part", parent, part_name, is_abbrev),), frozenset())
+    keys.update(ambiguity)
+    return countries, tuple(parts), country_keys, part_keys, ambiguity, keys
+
+
+#: A vocabulary small enough that names, aliases, abbreviations and
+#: ambiguity tokens keep colliding.
+_CODES = ["AA", "BB", "CC"]
+_NAMES = ["Alba", "Bora", "Alba Bora", "AB", "Cora"]
+_names = st.sampled_from(_NAMES)
+_alias = st.one_of(st.just(""), _names)
+
+
+@st.composite
+def _tables(draw):
+    """Rows for the four tables.  Parents and interpretations come from the
+    codes and parts drawn, plus one part that may not be loaded; ambiguity
+    tokens come from the names the tables use."""
+    codes = draw(st.lists(st.sampled_from(_CODES), min_size=1, max_size=3, unique=True))
+    countries = [(code, draw(_names), draw(_alias)) for code in codes]
+    part_rows = st.lists(st.tuples(_names, _alias, st.sampled_from(codes)), max_size=2)
+    parts, extension = draw(part_rows), draw(part_rows)
+    named_parts = sorted({(code, name) for name, _, code in parts + extension} | {("CC", "Cora")})
+    interpretation = st.one_of(
+        st.sampled_from(codes).map("country:{}".format),
+        st.sampled_from(named_parts).map("part:{0[0]}:{0[1]}".format),
+    )
+    interpretations = st.lists(interpretation, min_size=1, max_size=3).map("|".join)
+    used = sorted({name for row in countries + parts + extension for name in row if name in _NAMES})
+    ambiguity = draw(st.lists(st.tuples(st.sampled_from(used), interpretations, _alias), max_size=3))
+    return countries, parts, extension, ambiguity
+
+
+def _tsv(rows):
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(tables=_tables(), include_extension=st.booleans())
+    def test_same_tables_as_three_map_builder(self, tables, include_extension):
+        with tempfile.TemporaryDirectory() as tmp:
+            work = _write_tables(Path(tmp), *map(_tsv, tables))
+            try:
+                expected = _oracle_build(work, include_extension)
+            except GazetteerError:
+                with pytest.raises(GazetteerError):
+                    build_gazetteer(work, include_extension)
+                return
+            g = build_gazetteer(work, include_extension)
+        countries_, parts_, country_keys, part_keys, ambiguity_, keys = expected
+        assert dict(g.countries) == countries_
+        assert g.parts == parts_
+        assert dict(g.country_key_map) == country_keys
+        assert dict(g.part_key_map) == part_keys
+        assert dict(g.ambiguity) == ambiguity_
+        assert dict(g.keys) == keys
+
+    @pytest.mark.parametrize("include_extension", [False, True])
+    def test_shipped_tables_equal_the_oracle(self, data_dir, include_extension):
+        g = build_gazetteer(data_dir, include_extension)
+        countries, parts, country_keys, part_keys, ambiguity, keys = _oracle_build(data_dir, include_extension)
+        assert (dict(g.countries), g.parts) == (countries, parts)
+        assert (dict(g.country_key_map), dict(g.part_key_map)) == (country_keys, part_keys)
+        assert (dict(g.ambiguity), dict(g.keys)) == (ambiguity, keys)
 
 
 class TestLookups:

@@ -166,6 +166,30 @@ class TestParseRecords:
         assert [r.fos_terms for r in records] == [frozenset({"ai", "ml"}), frozenset()]
         assert reader.report.rows_skipped == 1
 
+    def test_integer_paper_id_and_null_title_kept(self):
+        rows = [
+            {"paper_id": 0, "title": None, "authors": []},
+            {"paper_id": 1, "title": "T", "authors": [{"affiliation": "A"}]},
+            {"paper_id": " p2 ", "authors": []},
+        ]
+        reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
+        records = list(reader)
+        assert [(r.paper_id, r.title) for r in records] == [("0", ""), ("1", "T"), ("p2", "")]
+        assert records[1].mentions[0].paper_id == "1"
+        assert reader.report.rows_skipped == 0
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"paper_id": True}, {"paper_id": 1.0}, {"paper_id": ["p"]}, {"paper_id": None}, {"paper_id": " "},
+         {"paper_id": "p", "title": 0}, {"paper_id": "p", "title": ["T"]}, {"paper_id": "p", "title": False}],
+        ids=["true-id", "float-id", "list-id", "null-id", "blank-id", "number-title", "list-title", "false-title"],
+    )
+    def test_paper_id_or_title_of_the_wrong_type_skipped(self, fields):
+        rows = [{**fields, "authors": []}, {"paper_id": "q", "title": "Kept", "authors": []}]
+        reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
+        assert [(r.paper_id, r.title) for r in reader] == [("q", "Kept")]
+        assert reader.report.rows_skipped == 1
+
     @pytest.mark.parametrize("author", ["a", 5, True, ["x"]], ids=["string", "number", "true", "list"])
     def test_author_neither_object_nor_empty_skipped(self, author):
         rows = [

@@ -133,6 +133,20 @@ class TestDedupOverlap:
         assert stats.dedup_dropped == 7
         assert [r.paper_id for r in kept] == [f"u{i}" for i in range(5)]
 
+    def test_empty_title_matches_only_by_doi(self):
+        secondary = DedupIndex.from_records(
+            [_record("s1", title="", year=2001), _record("s2", title="!!!", year=2001, doi="10.1/s2")]
+        )
+        primary = [
+            _record("p1", title="A study", year=2001),
+            _record("p2", title="", year=2001),
+            _record("p3", title="!!!", year=2001),
+            _record("p4", title="", year=2001, doi="10.1/other"),
+            _record("p5", title="", year=2005, doi="10.1/S2"),
+        ]
+        kept = list(dedup_overlap(primary, secondary))
+        assert [r.paper_id for r in kept] == ["p1", "p2", "p3", "p4"]
+
     def test_title_key_normalization(self):
         a = _record("a", title="The  Paper: A Story!", year=2000)
         b = _record("b", title="the paper a story", year=2000)

@@ -131,6 +131,33 @@ class TestCacheStore:
         path.write_text('not json\n' + self._entry().to_json() + "\n", encoding="utf-8")
         assert CacheStore(path).get("k") is not None
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1, 2]",
+            '"x"',
+            "5",
+            '{"key": "k", "countries": 5, "status": "hit", "retrieved_at": "2024-01-01T00:00:00+00:00"}',
+            '{"key": ["k"], "countries": [], "status": "empty", "retrieved_at": "2024-01-01T00:00:00+00:00"}',
+            '{"key": "k", "countries": [], "status": "error", "retrieved_at": 5}',
+            '{"key": "k", "countries": ["Canada", 5], "status": "hit", "retrieved_at": "2024-01-01T00:00:00+00:00"}',
+            '{"key": "k", "countries": [], "status": "empty", "retrieved_at": "2024-01-01T00:00:00+00:00", "detail": 7}',
+            '{"key": "k", "countries": [], "status": ["empty"], "retrieved_at": "2024-01-01T00:00:00+00:00"}',
+        ],
+        ids=["list", "string", "number", "numeric-countries", "list-key", "numeric-retrieved-at",
+             "numeric-country", "numeric-detail", "list-status"],
+    )
+    def test_json_line_that_is_not_an_entry_skipped(self, tmp_path, caplog, line):
+        path = tmp_path / "cache.jsonl"
+        good = self._entry(key="good")
+        path.write_text(line + "\n" + good.to_json() + "\n", encoding="utf-8")
+        with caplog.at_level("WARNING", logger="ircmap.wikidata"):
+            store = CacheStore(path)
+        assert len(store) == 1
+        assert store.get("good") == good
+        assert store.get("k") is None
+        assert "cache.jsonl:1: skipping bad cache line" in caplog.text
+
     def test_torn_last_line_does_not_swallow_next_put(self, tmp_path, label_map):
         # A run killed mid-append leaves the last line cut short, without "\n".
         path = tmp_path / "cache.jsonl"
