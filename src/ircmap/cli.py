@@ -163,17 +163,12 @@ def _warn_skipped(path: Path, reader) -> None:
         log.warning("%s: skipped %d malformed or duplicate rows", path, reader.report.rows_skipped)
 
 
-def _records_list(path: Path, fmt: str) -> list:
-    reader = parse_records(path, Format(fmt))
-    records = list(reader)
-    _warn_skipped(path, reader)
-    return records
-
-
 def cmd_prepare(args: argparse.Namespace) -> int:
     in_path = _require_input(args.input)
     with OutputSet(Path(args.output)) as out:
-        records = _records_list(in_path, args.format)
+        reader = parse_records(in_path, Format(args.format))
+        records = list(reader)
+        _warn_skipped(in_path, reader)
         if not records:
             raise CliError(f"no records parsed from {in_path}")
         stats = PrepStats()
@@ -183,16 +178,20 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         stream = iter(records)
         if args.top_k_fos:
             if args.overlap:
-                overlap_records = _records_list(_require_input(args.overlap), args.overlap_format)
+                overlap_path = _require_input(args.overlap)
+                overlap = parse_records(overlap_path, Format(args.overlap_format))
+                fos_filter = compute_fos_filter(overlap, args.top_k_fos)
+                _warn_skipped(overlap_path, overlap)
             else:
-                overlap_records = records
-            fos_filter = compute_fos_filter(overlap_records, args.top_k_fos)
+                fos_filter = compute_fos_filter(records, args.top_k_fos)
             stats.fos_coverage = fos_filter.coverage
             stats.fos_terms = tuple(sorted(fos_filter.terms))
             stream = filter_by_fos(stream, fos_filter, stats)
         if args.dedup_against:
-            secondary = _records_list(_require_input(args.dedup_against), args.dedup_format)
+            secondary_path = _require_input(args.dedup_against)
+            secondary = parse_records(secondary_path, Format(args.dedup_format))
             stream = dedup_overlap(stream, DedupIndex.from_records(secondary), stats)
+            _warn_skipped(secondary_path, secondary)
         stream = filter_coauthored(stream, stats)
 
         with open(out.stage / "prepared.jsonl", "w", encoding="utf-8") as handle:

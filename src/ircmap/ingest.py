@@ -11,9 +11,13 @@ Three input formats are supported:
 * ``jsonl``    -- one record object per line:
   ``{"paper_id", "title", "year", "fos": [...],
   "authors": [{"affiliation": ...}, ...]}`` with optional ``"doi"``.  A
-  paper id is a non-blank string or an integer, and a title a string or
-  null (empty); an affiliation is a string or null (empty).  Any other type
-  skips the record.
+  paper id is a non-blank string or an integer; a title, an affiliation and
+  a DOI are each a string or null (empty; a DOI is stripped, and a blank one
+  is none).  A year is an integer, a number with an integral value, a
+  string or null; a string that is not an integer, and any year outside
+  ``YEAR_MIN..YEAR_MAX``, is unknown.  ``fos`` is null, a ``|``-separated
+  string or a list, and ``authors`` a list of objects or empty entries.
+  Any other type, and a fractional, infinite or NaN year, skips the record.
   An author's optional ``"author_index"`` defaults to its position in
   ``authors``; one that is not a non-negative integer, or repeats within
   the record, skips the record.  :func:`record_line` writes this schema.
@@ -38,7 +42,8 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from functools import partial
+from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, Union
@@ -154,16 +159,25 @@ class BibRecord:
 
 @dataclass
 class ParseReport:
-    rows_read: int = 0
     records_yielded: int = 0
     rows_skipped: int = 0
 
 
 def _parse_year(value: object) -> int | None:
-    try:
-        year = int(str(value).strip())
-    except (TypeError, ValueError):
+    """``value`` as a year, ``None`` if unknown; raises ``TypeError`` unless null, a string or integral."""
+    if type(value) is int:  # a bool is not a year
+        year = value
+    elif isinstance(value, str):
+        try:
+            year = int(value.strip())
+        except ValueError:
+            return None
+    elif value is None:
         return None
+    elif type(value) is float and value.is_integer():
+        year = int(value)
+    else:
+        raise TypeError(f"year is not an integral number, a string or null: {value!r}")
     return year if YEAR_MIN <= year <= YEAR_MAX else None
 
 
@@ -172,15 +186,19 @@ _FOS_MEMO_SIZE = 1 << 14
 
 
 def _parse_fos(terms: object, memo: dict[str, str]) -> frozenset[str]:
-    """FOS keys of ``terms`` (a ``|``-separated string or a list), via ``memo``.
+    """FOS keys of ``terms`` (null, a ``|``-separated string or a list), via ``memo``.
 
     ``memo`` maps each term to its ``token_key``; it holds at most
-    ``_FOS_MEMO_SIZE`` terms.
+    ``_FOS_MEMO_SIZE`` terms.  Any other type raises ``TypeError``.
     """
     if terms is None:
         return frozenset()
+    if isinstance(terms, str):
+        terms = terms.split("|")
+    elif not isinstance(terms, list):
+        raise TypeError(f"fos is not null, a string or a list: {terms!r}")
     out = set()
-    for term in terms.split("|") if isinstance(terms, str) else terms:
+    for term in terms:
         term = str(term)
         key = memo.get(term)
         if key is None:
@@ -212,15 +230,15 @@ def parse_records(
 ) -> RecordReader:
     """Stream records from ``source`` in the given format.
 
-    Yields records in input order, the first one for each paper id.  Rows
-    that violate the format's schema (missing paper id, unparsable author
-    index, wrong column count, bad JSON, JSONL ``authors`` not a list or
-    holding an entry that is neither an object nor empty, a JSONL
-    ``author_index`` that is not a non-negative integer or repeats, ``fos``
-    not null, a string or a list) or repeat a paper id already yielded are
-    skipped and counted in the report.  A file opened from a path is closed
-    once the stream is exhausted or closed; a caller's stream, text or
-    binary, is left open.
+    Yields records in input order, the first one for each paper id.  A row
+    is skipped and counted in the report if it has a blank paper id, an
+    author index that is not a non-negative integer, the wrong column count
+    or bad JSON; if it is JSONL that breaks the module docstring's schema (a
+    field of another type, a repeated ``author_index``, a fractional,
+    infinite or NaN year); or if it repeats a paper id already yielded, or
+    an author index within a row-format record.  A file opened from a path
+    is closed once the stream is exhausted or closed; a caller's stream,
+    text or binary, is left open.
 
     Each reader keeps its own memo from FOS term to key, so a term repeated
     across records is normalized once.  The memo holds at most
@@ -253,20 +271,32 @@ def _format_records(
     stream: IO[str], fmt: Format, report: ParseReport, fos_memo: dict[str, str]
 ) -> Iterator[tuple[BibRecord, int]]:
     if fmt is Format.GENERIC_JSONL:
-        return _iter_jsonl(stream, report, fos_memo)
+        lines = filter(str.strip, stream)  # a blank line is not a row
+        return zip(_parsed(lines, partial(_json_record, fos_memo=fos_memo), report), repeat(1))
     if fmt is Format.MAG_TSV:
         lines = (line.rstrip("\n").rstrip("\r") for line in stream)
-        fields = (line.split("\t") for line in lines if line)
-        rows = (_row(f + [""], fos_memo) if len(f) == 6 else None for f in fields)  # no DOI column
-        return _iter_rowwise(rows, report)
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise IngestError("csv input has no header row")
-    missing = {"paper_id", "author_index", "affiliation"} - set(reader.fieldnames)
-    if missing:
-        raise IngestError(f"csv header missing columns: {sorted(missing)}")
-    rows = (_row([row.get(column) or "" for column in _COLUMNS], fos_memo) for row in reader)
-    return _iter_rowwise(rows, report)
+        # No DOI column: a 6-field row gets an empty one, and _row's unpack rejects any other count.
+        fields = (line.split("\t") + [""] for line in lines if line)
+    else:
+        reader = csv.DictReader(stream)
+        if reader.fieldnames is None:
+            raise IngestError("csv input has no header row")
+        missing = {"paper_id", "author_index", "affiliation"} - set(reader.fieldnames)
+        if missing:
+            raise IngestError(f"csv header missing columns: {sorted(missing)}")
+        fields = ([row.get(column) or "" for column in _COLUMNS] for row in reader)
+    return _iter_rowwise(_parsed(fields, partial(_row, fos_memo=fos_memo), report), report)
+
+
+def _parsed(rows: Iterable, parse: Callable, report: ParseReport) -> Iterator:
+    """``parse`` each row; skip and count one whose parse raises ``TypeError`` or ``ValueError``."""
+    for row in rows:
+        try:
+            parsed = parse(row)
+        except (TypeError, ValueError):
+            report.rows_skipped += 1
+        else:
+            yield parsed
 
 
 def _releasing(records: Iterator[BibRecord], release: Callable[[], object]) -> Iterator[BibRecord]:
@@ -290,63 +320,50 @@ def _open_text(source: Union[str, Path, IO[str], IO[bytes]]) -> IO[str]:
     return source  # duck-typed text stream
 
 
+def _optional_text(obj: dict, field: str) -> str:
+    """``obj[field]`` if a string, ``""`` if absent or null; raises ``TypeError`` otherwise."""
+    value = obj.get(field)
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise TypeError(f"{field} is not a string: {value!r}")
+    return value
+
+
 def _json_mention(paper_id: str, position: int, author: object) -> AffiliationMention:
-    """A JSONL author entry's mention; a null entry or affiliation is empty."""
+    """A JSONL author entry's mention; a null or empty entry, or a null affiliation, is empty."""
     author = author or {}
-    affiliation = author.get("affiliation")
-    if not (affiliation is None or isinstance(affiliation, str)):
-        raise TypeError(f"affiliation is not a string: {affiliation!r}")
+    if not isinstance(author, dict):
+        raise TypeError(f"author is not an object: {author!r}")
     author_index = author.get("author_index", position)
     if type(author_index) is not int or author_index < 0:  # a bool is not an index
         raise TypeError(f"author_index is not a non-negative integer: {author_index!r}")
-    return AffiliationMention(paper_id, author_index, affiliation or "")
+    return AffiliationMention(paper_id, author_index, _optional_text(author, "affiliation"))
 
 
-def _iter_jsonl(
-    stream: IO[str], report: ParseReport, fos_memo: dict[str, str]
-) -> Iterator[tuple[BibRecord, int]]:
-    for line in stream:
-        if not line.strip():
-            continue
-        report.rows_read += 1
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            report.rows_skipped += 1
-            continue
-        if not isinstance(obj, dict):
-            report.rows_skipped += 1
-            continue
-        paper_id, title = obj.get("paper_id"), obj.get("title")
-        if type(paper_id) is int:  # a bool is not an id
-            paper_id = str(paper_id)
-        paper_id = paper_id.strip() if isinstance(paper_id, str) else ""
-        if not paper_id or not (title is None or isinstance(title, str)):
-            report.rows_skipped += 1
-            continue
-        authors = obj.get("authors") or []
-        fos = obj.get("fos")
-        if not isinstance(authors, list) or not (fos is None or isinstance(fos, (str, list))):
-            report.rows_skipped += 1
-            continue
-        try:
-            mentions = tuple(_json_mention(paper_id, i, a) for i, a in enumerate(authors))
-        except (AttributeError, TypeError):  # an author entry or one of its fields of the wrong type
-            report.rows_skipped += 1
-            continue
-        if len({m.author_index for m in mentions}) < len(mentions):
-            report.rows_skipped += 1
-            continue
-        doi = obj.get("doi")
-        record = BibRecord(
-            paper_id=paper_id,
-            title=title or "",
-            year=_parse_year(obj.get("year")) if obj.get("year") is not None else None,
-            fos_terms=_parse_fos(fos, fos_memo),
-            mentions=mentions,
-            doi=str(doi) if doi else None,
-        )
-        yield record, 1
+def _json_record(line: str, fos_memo: dict[str, str]) -> BibRecord:
+    """One JSONL line's record; raises ``TypeError`` or ``ValueError`` if it breaks the schema."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise TypeError(f"record is not an object: {obj!r}")
+    paper_id = obj.get("paper_id")  # a non-blank string or an int, which a bool is not
+    paper_id = str(paper_id) if type(paper_id) is int else _optional_text(obj, "paper_id").strip()
+    if not paper_id:
+        raise ValueError("blank paper_id")
+    authors = obj.get("authors") or []
+    if not isinstance(authors, list):
+        raise TypeError(f"authors is not a list: {authors!r}")
+    mentions = tuple(_json_mention(paper_id, i, a) for i, a in enumerate(authors))
+    if len({m.author_index for m in mentions}) < len(mentions):
+        raise ValueError("repeated author_index")
+    return BibRecord(
+        paper_id=paper_id,
+        title=_optional_text(obj, "title"),
+        year=_parse_year(obj.get("year")),
+        fos_terms=_parse_fos(obj.get("fos"), fos_memo),
+        mentions=mentions,
+        doi=_optional_text(obj, "doi").strip() or None,
+    )
 
 
 def record_line(record: BibRecord) -> str:
@@ -382,42 +399,24 @@ _COLUMNS = ("paper_id", "author_index", "affiliation", "title", "year", "fos", "
 _Row = tuple[str, int, str, str, "int | None", frozenset, "str | None"]
 
 
-def _row(fields: Sequence[str], fos_memo: dict[str, str]) -> _Row | None:
-    """One mention row from its raw column values in ``_COLUMNS`` order; ``None`` if bad."""
+def _row(fields: Sequence[str], fos_memo: dict[str, str]) -> _Row:
+    """One mention row from its raw column values in ``_COLUMNS`` order; raises ``ValueError`` if bad."""
     paper_id, author_index, affiliation, title, year, fos, doi = fields
-    paper_id = paper_id.strip()
-    if not paper_id:
-        return None
-    try:
-        author_index = int(author_index)
-    except ValueError:
-        return None
-    if author_index < 0:
-        return None
+    paper_id, author_index = paper_id.strip(), int(author_index)
+    if not paper_id or author_index < 0:
+        raise ValueError(f"blank paper_id or negative author_index: {fields!r}")
     return (paper_id, author_index, affiliation, title, _parse_year(year), _parse_fos(fos, fos_memo),
             doi.strip() or None)
 
 
-def _valid_rows(rows: Iterable[_Row | None], report: ParseReport) -> Iterator[_Row]:
-    for row in rows:
-        report.rows_read += 1
-        if row is None:
-            report.rows_skipped += 1
-        else:
-            yield row
-
-
-def _iter_rowwise(
-    rows: Iterable[_Row | None],
-    report: ParseReport,
-) -> Iterator[tuple[BibRecord, int]]:
-    """Group contiguous mention-level rows by paper id; ``None`` is a bad row.
+def _iter_rowwise(rows: Iterable[_Row], report: ParseReport) -> Iterator[tuple[BibRecord, int]]:
+    """Group contiguous mention rows by paper id.
 
     A group's first row supplies the paper's title, year, FOS and DOI.  The
     first row of each author index gives its mention; later rows with that
     index are skipped.  Yields each record with its number of kept rows.
     """
-    for paper_id, group in groupby(_valid_rows(rows, report), key=itemgetter(0)):
+    for paper_id, group in groupby(rows, key=itemgetter(0)):
         group = list(group)
         mentions: dict[int, AffiliationMention] = {}
         for row in group:

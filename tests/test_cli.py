@@ -125,6 +125,17 @@ class TestPrepare:
         assert report["detail"]["fos_dropped"] == 1
         assert report["detail"]["dedup_dropped"] == 1
 
+    @pytest.mark.parametrize("option", ["--overlap", "--dedup-against"])
+    def test_bad_line_in_a_second_corpus_is_reported(self, corpus_20, tmp_path, caplog, option):
+        """The overlap and dedup corpora are streamed; each one's skips are counted once it is read."""
+        second = tmp_path / "second.jsonl"
+        second.write_text("not json\n" + json.dumps(_paper("z", ["Q, Japan"])) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["prepare", "--input", str(corpus_20), "--output", str(out), "--top-k-fos", "1",
+                     option, str(second)]) == 0
+        assert f"{second}: skipped 1 malformed or duplicate rows" in caplog.text
+        assert "corpus.jsonl: skipped" not in caplog.text
+
     def test_author_that_is_not_an_object_skips_the_record(self, tmp_path, caplog):
         corpus = _write_jsonl(tmp_path / "corpus.jsonl", [
             {"paper_id": "p", "authors": ["a", "b"]},

@@ -302,6 +302,36 @@ class TestParseRecords:
         (record,) = list(parse_records(stream, Format.GENERIC_JSONL))
         assert record.year is None
 
+    @pytest.mark.parametrize(
+        "year, expected",
+        [("2001", 2001), ("2001.0", 2001), ('" 2001 "', 2001), ("null", None), ('"MMI"', None), ('"2001.0"', None),
+         ("1492.0", None), ("1e300", None)],
+    )
+    def test_year_integer_integral_number_text_or_null_kept(self, year, expected):
+        stream = io.StringIO(f'{{"paper_id": "p", "year": {year}, "authors": []}}\n')
+        reader = parse_records(stream, Format.GENERIC_JSONL)
+        assert [r.year for r in reader] == [expected]
+        assert reader.report.rows_skipped == 0
+
+    @pytest.mark.parametrize("year", ["2001.5", "NaN", "Infinity", "-Infinity", "true", "[2001]", '{"y": 2001}'])
+    def test_year_neither_integral_number_text_nor_null_skipped(self, year):
+        stream = io.StringIO(f'{{"paper_id": "p", "year": {year}, "authors": []}}\n{{"paper_id": "q", "authors": []}}\n')
+        reader = parse_records(stream, Format.GENERIC_JSONL)
+        assert [r.paper_id for r in reader] == ["q"]
+        assert reader.report.rows_skipped == 1
+
+    @pytest.mark.parametrize("doi", [["10.1/x"], 5, True, {"doi": "10.1/x"}], ids=["list", "number", "true", "object"])
+    def test_doi_neither_text_nor_null_skipped(self, doi):
+        rows = [
+            {"paper_id": "p1", "doi": doi, "authors": []},
+            {"paper_id": "p2", "doi": " 10.1/X ", "authors": []},
+            {"paper_id": "p3", "doi": " ", "authors": []},
+            {"paper_id": "p4", "doi": None, "authors": []},
+        ]
+        reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
+        assert [(r.paper_id, r.doi) for r in reader] == [("p2", "10.1/X"), ("p3", None), ("p4", None)]
+        assert reader.report.rows_skipped == 1
+
     def test_csv_with_optional_columns(self):
         text = (
             "paper_id,author_index,affiliation,title,year,fos,doi\n"
@@ -491,3 +521,46 @@ def test_record_lines_read_back_as_the_same_records(rows):
 def test_record_line_writes_author_index_only_off_position():
     (record,) = parse_records(io.StringIO("p1\t0\tA\tT\t2001\tai\np1\t2\tB\tT\t2001\tai\n"), Format.MAG_TSV)
     assert json.loads(record_line(record))["authors"] == [{"affiliation": "A"}, {"affiliation": "B", "author_index": 2}]
+
+
+#: One line per skip rule of each format, each a row ``parse_records`` must skip and count.
+_MALFORMED = {
+    "jsonl": ["not json", "[1, 2]", '"p"', "null", '{"authors": []}'] + [
+        json.dumps({"paper_id": "p", "authors": [], **fields}) for fields in (
+            {"paper_id": None}, {"paper_id": " "}, {"paper_id": True}, {"paper_id": 1.0}, {"paper_id": ["p"]},
+            {"title": 0}, {"title": ["T"]},
+            {"authors": "a"}, {"authors": {"affiliation": "A"}}, {"authors": ["a"]}, {"authors": [5]},
+            {"authors": [{"affiliation": 5}]}, {"authors": [{"affiliation": ["A"]}]},
+            {"authors": [{"author_index": -1}]}, {"authors": [{"author_index": 1.5}]},
+            {"authors": [{"author_index": True}]}, {"authors": [{"author_index": "0"}]},
+            {"authors": [{"author_index": 1}, {}]},  # the second author's position repeats the first's index
+            {"fos": 5}, {"fos": {"ai": 1}},
+            {"doi": ["10.1/x"]}, {"doi": 5}, {"doi": True},
+            {"year": 2001.5}, {"year": float("nan")}, {"year": float("inf")}, {"year": True}, {"year": [2001]},
+            {"year": {}},
+        )
+    ],
+    "csv": ["p", ",0,A,T,2000,ai", "  ,0,A,T,2000,ai", "p,,A,T,2000,ai", "p,x,A,T,2000,ai", "p,1.5,A,T,2000,ai",
+            "p,-1,A,T,2000,ai"],
+    "mag-tsv": ["p", "p\t0\tA\tT\t2000", "p\t0\tA\tT\t2000\tai\t10.1/x", "\t0\tA\tT\t2000\tai",
+                "  \t0\tA\tT\t2000\tai", "p\t\tA\tT\t2000\tai", "p\tx\tA\tT\t2000\tai",
+                "p\t1.5\tA\tT\t2000\tai", "p\t-1\tA\tT\t2000\tai"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "mag-tsv"])
+@settings(max_examples=60, deadline=None)
+@given(rows=_corpus_rows(), data=st.data())
+def test_malformed_rows_are_skipped_and_counted(fmt, rows, data):
+    """Malformed rows anywhere in the input leave the valid rows' records as they are, and each counts once."""
+    rows = [row for row in rows if row[0].strip()]
+    text = _render(fmt, rows)
+    lines = text.splitlines(keepends=True)
+    header = lines[:1] if fmt == "csv" else []
+    del lines[:len(header)]
+    bad = data.draw(st.lists(st.sampled_from(_MALFORMED[fmt]), max_size=8))
+    for line in bad:
+        lines.insert(data.draw(st.integers(0, len(lines))), line + "\n")
+    reader = parse_records(io.StringIO("".join(header + lines)), fmt)
+    assert list(reader) == list(parse_records(io.StringIO(text), fmt))
+    assert reader.report.rows_skipped == len(bad)
