@@ -26,7 +26,6 @@ from contextlib import ExitStack
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterator, Optional
-from urllib.parse import urlsplit
 
 from ircmap import __version__
 from ircmap.gazetteer import GazetteerError, build_gazetteer, default_data_dir
@@ -221,22 +220,21 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def _build_client(args: argparse.Namespace, gazetteer, data_dir: Path) -> WikidataClient:
-    if not args.offline:
-        endpoint = urlsplit(args.endpoint)
-        if endpoint.scheme not in ("http", "https") or not endpoint.hostname:
-            raise CliError(f"SPARQL endpoint must be an http(s) URL with a host: {args.endpoint!r}")
     cache_path = Path(args.cache) if args.cache else default_cache_path()
     if args.offline and not cache_path.is_file():
         raise CliError(f"offline mode requires an existing cache file: {cache_path}")
     cache = CacheStore(cache_path)
     label_map = LabelMap.from_gazetteer(gazetteer, data_dir / "wikidata_labels.tsv")
-    return WikidataClient(
-        cache=cache,
-        label_map=label_map,
-        endpoint=args.endpoint,
-        mode=Mode.OFFLINE if args.offline else Mode.ONLINE,
-        rate_limit=args.rate_limit,
-    )
+    try:
+        return WikidataClient(
+            cache=cache,
+            label_map=label_map,
+            endpoint=args.endpoint,
+            mode=Mode.OFFLINE if args.offline else Mode.ONLINE,
+            rate_limit=args.rate_limit,
+        )
+    except ValueError as exc:  # an unusable endpoint URL
+        raise CliError(str(exc)) from None
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:

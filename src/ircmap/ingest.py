@@ -16,8 +16,9 @@ Three input formats are supported:
   is none).  A year is an integer, a number with an integral value, a
   string or null; a string that is not an integer, and any year outside
   ``YEAR_MIN..YEAR_MAX``, is unknown.  ``fos`` is null, a ``|``-separated
-  string or a list, and ``authors`` a list of objects or empty entries.
-  Any other type, and a fractional, infinite or NaN year, skips the record.
+  string or a list of strings, and ``authors`` null or a list of objects or
+  empty entries.  Any other type, and a fractional, infinite or NaN year,
+  skips the record.
   An author's optional ``"author_index"`` defaults to its position in
   ``authors``; one that is not a non-negative integer, or repeats within
   the record, skips the record.  :func:`record_line` writes this schema.
@@ -186,10 +187,11 @@ _FOS_MEMO_SIZE = 1 << 14
 
 
 def _parse_fos(terms: object, memo: dict[str, str]) -> frozenset[str]:
-    """FOS keys of ``terms`` (null, a ``|``-separated string or a list), via ``memo``.
+    """FOS keys of ``terms`` (null, a ``|``-separated string or a list of strings), via ``memo``.
 
     ``memo`` maps each term to its ``token_key``; it holds at most
-    ``_FOS_MEMO_SIZE`` terms.  Any other type raises ``TypeError``.
+    ``_FOS_MEMO_SIZE`` terms.  Any other type, of ``terms`` or of a list
+    item, raises ``TypeError``.
     """
     if terms is None:
         return frozenset()
@@ -199,7 +201,8 @@ def _parse_fos(terms: object, memo: dict[str, str]) -> frozenset[str]:
         raise TypeError(f"fos is not null, a string or a list: {terms!r}")
     out = set()
     for term in terms:
-        term = str(term)
+        if not isinstance(term, str):
+            raise TypeError(f"fos item is not a string: {term!r}")
         key = memo.get(term)
         if key is None:
             if len(memo) >= _FOS_MEMO_SIZE:
@@ -350,7 +353,7 @@ def _json_record(line: str, fos_memo: dict[str, str]) -> BibRecord:
     paper_id = str(paper_id) if type(paper_id) is int else _optional_text(obj, "paper_id").strip()
     if not paper_id:
         raise ValueError("blank paper_id")
-    authors = obj.get("authors") or []
+    authors = [] if obj.get("authors") is None else obj["authors"]
     if not isinstance(authors, list):
         raise TypeError(f"authors is not a list: {authors!r}")
     mentions = tuple(_json_mention(paper_id, i, a) for i, a in enumerate(authors))

@@ -10,6 +10,7 @@ which ``parse_records`` reads back as equal records, author indices included.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -40,23 +41,22 @@ def compute_fos_filter(overlap_records: Iterable[BibRecord], top_k: int) -> FosF
 
     Frequency is the number of papers carrying the term; ties break
     alphabetically so the result is deterministic.  Coverage is the fraction
-    of overlap papers having at least one selected term.
+    of overlap papers having at least one selected term.  Each distinct FOS
+    set is kept once, with the number of papers carrying it.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    frequency: dict[str, int] = {}
-    papers = 0
-    fos_sets: list[frozenset[str]] = []
-    for record in overlap_records:
-        papers += 1
-        fos_sets.append(record.fos_terms)
-        for term in record.fos_terms:
-            frequency[term] = frequency.get(term, 0) + 1
+    fos_sets = Counter(record.fos_terms for record in overlap_records)
+    papers = sum(fos_sets.values())
     if papers == 0:
         raise ValueError("empty overlap corpus")
+    frequency: Counter[str] = Counter()
+    for fos, count in fos_sets.items():
+        for term in fos:
+            frequency[term] += count
     ranked = sorted(frequency.items(), key=lambda item: (-item[1], item[0]))
     terms = frozenset(term for term, _ in ranked[:top_k])
-    covered = sum(1 for fos in fos_sets if fos & terms)
+    covered = sum(count for fos, count in fos_sets.items() if fos & terms)
     return FosFilter(terms=terms, coverage=covered / papers)
 
 

@@ -9,6 +9,10 @@ kept verbatim.
 
 The client is shared state: one rate limiter and an append-only JSON-lines
 cache (last entry per key wins on load) that makes offline replay possible.
+The cache applies no policy; the client decides what an entry answers:
+offline, every entry answers as recorded, however old, and expiry only decides
+whether an online run asks again.  An online client rejects an unusable
+endpoint URL when it is built.
 Lookups are not coalesced; the resolver never overlaps two of one key.
 """
 
@@ -25,7 +29,7 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional
-from urllib.parse import quote, urlencode
+from urllib.parse import quote, urlencode, urlsplit
 
 from ircmap.gazetteer import GazetteerError, _read_table
 from ircmap.ingest import token_key
@@ -162,11 +166,10 @@ def _utc_now() -> datetime:
 
 
 class CacheStore:
-    """Append-only JSON-lines cache; error entries expire after 24 hours."""
+    """Append-only JSON-lines cache, last entry per key wins; it keeps no clock and expires nothing."""
 
-    def __init__(self, path: Optional[Path | str] = None, now: Callable[[], datetime] = _utc_now):
+    def __init__(self, path: Optional[Path | str] = None):
         self.path = Path(path) if path is not None else None
-        self._now = now
         self._entries: dict[str, CacheEntry] = {}
         self._lock = threading.Lock()
         # A run killed mid-append leaves a last line without its newline; the
@@ -194,21 +197,7 @@ class CacheStore:
 
     def get(self, key: str) -> Optional[CacheEntry]:
         with self._lock:
-            entry = self._entries.get(key)
-        if entry is None:
-            return None
-        if entry.status is CacheStatus.ERROR and self._expired(entry):
-            return None
-        return entry
-
-    def _expired(self, entry: CacheEntry) -> bool:
-        try:
-            retrieved = datetime.fromisoformat(entry.retrieved_at)
-        except ValueError:
-            return True
-        if retrieved.tzinfo is None:
-            retrieved = retrieved.replace(tzinfo=timezone.utc)
-        return self._now() - retrieved > ERROR_TTL
+            return self._entries.get(key)
 
     def put(self, entry: CacheEntry) -> None:
         with self._lock:
@@ -358,8 +347,10 @@ class WikidataClient:
     """Rate-limited, cached country lookups for affiliation fragments.
 
     Offline mode answers from the cache only and performs no network
-    operations at all.  Lookups are not coalesced: two concurrent lookups
-    of one normalized fragment each send a request.
+    operations at all.  Online, an endpoint URL without an http(s) scheme, a
+    host or a valid port raises ``ValueError`` here.  Lookups are not
+    coalesced: two concurrent lookups of one normalized fragment each send a
+    request.
     """
 
     def __init__(
@@ -380,6 +371,14 @@ class WikidataClient:
         self.label_map = label_map if label_map is not None else LabelMap({})
         self.endpoint = endpoint
         self.mode = Mode(mode)
+        if self.mode is Mode.ONLINE:
+            try:
+                parts = urlsplit(endpoint)
+                parts.port  # raises ValueError for a port that is not a number in range
+            except ValueError:
+                parts = None
+            if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ValueError(f"SPARQL endpoint must be an http(s) URL with a host: {endpoint!r}")
         self.transport = transport if transport is not None else RequestsTransport()
         self.rate_limiter = RateLimiter(rate_limit, clock=clock, sleep=sleep)
         self.headers = {
@@ -389,31 +388,46 @@ class WikidataClient:
         self.max_attempts = max(1, max_attempts)
         self.backoff_base = backoff_base
         self._sleep = sleep
-        self._now = _utc_now
 
     def query_country(self, fragment: str) -> CacheEntry:
         """Country labels for one fragment, from cache or the endpoint.
 
-        Cache hits cost no network I/O.  In offline mode a miss returns an
-        (uncached) ``offline-miss`` error entry.  HTTP 429/5xx responses are
-        retried with exponential backoff and, like other HTTP failures, end
-        up cached with a short TTL; malformed bodies and an unusable endpoint
-        URL are not cached, and the latter is not retried either.
+        Offline, every cached entry answers as recorded, however old, and a
+        miss returns an (uncached) ``offline-miss`` error entry.  Online, an
+        error entry older than ``ERROR_TTL`` is asked again.  HTTP 429/5xx
+        responses are retried with exponential backoff; every answer but a
+        malformed body is cached, HTTP and transport errors as error entries.
         """
         key = token_key(fragment)
         if not key:
             raise ValueError("empty affiliation fragment")
         entry = self.cache.get(key)
-        if entry is not None:
+        if entry is not None and (self.mode is Mode.OFFLINE or not self._expired(entry)):
             return entry
         if self.mode is Mode.OFFLINE:
-            return CacheEntry(key, (), CacheStatus.ERROR, self._now().isoformat(), "offline-miss")
+            return self._error(key, "offline-miss")
         entry, cacheable = self._fetch(key, fragment)
         if cacheable:
             self.cache.put(entry)
         return entry
 
+    def _expired(self, entry: CacheEntry) -> bool:
+        """Whether ``entry`` is an error older than ``ERROR_TTL`` or stamped with no readable time."""
+        if entry.status is not CacheStatus.ERROR:
+            return False
+        try:
+            retrieved = datetime.fromisoformat(entry.retrieved_at)
+        except ValueError:
+            return True
+        if retrieved.tzinfo is None:
+            retrieved = retrieved.replace(tzinfo=timezone.utc)
+        return _utc_now() - retrieved > ERROR_TTL
+
+    def _error(self, key: str, detail: str) -> CacheEntry:
+        return CacheEntry(key, (), CacheStatus.ERROR, _utc_now().isoformat(), detail)
+
     def _fetch(self, key: str, fragment: str) -> tuple[CacheEntry, bool]:
+        """The endpoint's answer for ``key`` and whether to cache it: all but a malformed body are."""
         query = build_sparql_query(fragment)
         last_error = ""
         for attempt in range(1, self.max_attempts + 1):
@@ -425,29 +439,16 @@ class WikidataClient:
                     self.endpoint, params={"query": query.text}, headers=self.headers
                 )
             except TransportError as exc:
-                if isinstance(exc.__cause__, ValueError):
-                    # An unusable endpoint URL never starts working: no retry, no cache.
-                    note = "unusable endpoint URL"  # urllib's message quotes the whole query URL
-                    return CacheEntry(key, (), CacheStatus.ERROR, self._now().isoformat(), note), False
                 last_error = f"transport error: {exc}"
                 continue
             if response.status_code == 200:
                 try:
                     labels = _parse_country_labels(response.text)
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    return (
-                        CacheEntry(
-                            key, (), CacheStatus.ERROR, self._now().isoformat(),
-                            f"malformed response: {exc}",
-                        ),
-                        False,
-                    )
+                    return self._error(key, f"malformed response: {exc}"), False
                 status = CacheStatus.HIT if labels else CacheStatus.EMPTY
-                return (CacheEntry(key, labels, status, self._now().isoformat()), True)
+                return CacheEntry(key, labels, status, _utc_now().isoformat()), True
             last_error = f"http {response.status_code}"
             if response.status_code != 429 and response.status_code < 500:
                 break
-        return (
-            CacheEntry(key, (), CacheStatus.ERROR, self._now().isoformat(), last_error),
-            True,
-        )
+        return self._error(key, last_error), True

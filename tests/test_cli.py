@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from unittest import mock
@@ -637,6 +638,7 @@ class TestEnvironment:
             ("query.wikidata.org/sparql", True),
             ("ftp://query.wikidata.org/sparql", False),
             ("https:///sparql", False),
+            ("http://127.0.0.1:abc/sparql", False),
         ],
     )
     def test_unusable_endpoint_rejected_before_any_lookup(self, tmp_path, monkeypatch, capsys,
@@ -652,6 +654,19 @@ class TestEnvironment:
         assert capsys.readouterr().err.startswith("ircmap: error: SPARQL endpoint must be")
         assert not any(out.iterdir())
         assert not cache.exists()
+
+    def test_offline_replay_does_not_depend_on_the_age_of_an_error_entry(self, tmp_path):
+        corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", "McGill University"])])
+        enriched = []
+        for hours in (1, 30):
+            cache, out = tmp_path / f"cache{hours}.jsonl", tmp_path / f"out{hours}"
+            at = datetime.now(timezone.utc) - timedelta(hours=hours)
+            CacheStore(cache).put(CacheEntry("mcgill university", (), CacheStatus.ERROR, at.isoformat(), "http 503"))
+            assert main(["resolve", "--input", str(corpus), "--output", str(out),
+                         "--cache", str(cache), "--offline"]) == 0
+            enriched.append((out / "enriched.jsonl").read_bytes())
+        assert enriched[0] == enriched[1]
+        assert json.loads(enriched[0].splitlines()[1])["evidence"] == "http 503"
 
     def test_cache_dir_env_var_used_by_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("IRC_CACHE_DIR", str(tmp_path / "cachedir"))

@@ -166,6 +166,28 @@ class TestParseRecords:
         assert [r.fos_terms for r in records] == [frozenset({"ai", "ml"}), frozenset()]
         assert reader.report.rows_skipped == 1
 
+    @pytest.mark.parametrize("item", [None, 5, ["ai"], {"a": 1}, True], ids=["null", "number", "list", "object", "true"])
+    def test_fos_list_item_that_is_not_text_skipped(self, item):
+        rows = [
+            {"paper_id": "p1", "fos": ["AI", item], "authors": [{"affiliation": "A"}, {"affiliation": "B"}]},
+            {"paper_id": "p2", "fos": ["ML", ""], "authors": []},
+        ]
+        reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
+        assert [(r.paper_id, r.fos_terms) for r in reader] == [("p2", frozenset({"ml"}))]
+        assert reader.report.rows_skipped == 1
+
+    @pytest.mark.parametrize("authors", [{}, False, 0, "", 5], ids=["empty-object", "false", "zero", "empty-string", "number"])
+    def test_authors_neither_list_nor_null_skipped(self, authors):
+        rows = [
+            {"paper_id": "p1", "authors": authors},
+            {"paper_id": "p2", "authors": None},
+            {"paper_id": "p3"},
+            {"paper_id": "p4", "authors": []},
+        ]
+        reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
+        assert [(r.paper_id, r.mentions) for r in reader] == [("p2", ()), ("p3", ()), ("p4", ())]
+        assert reader.report.rows_skipped == 1
+
     def test_integer_paper_id_and_null_title_kept(self):
         rows = [
             {"paper_id": 0, "title": None, "authors": []},

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ircmap.ingest import AffiliationMention, BibRecord
 from ircmap.prep import (
@@ -70,6 +72,27 @@ class TestComputeFosFilter:
     def test_bad_top_k_rejected(self):
         with pytest.raises(ValueError):
             compute_fos_filter([_record("p")], top_k=0)
+
+
+def _fos_filter_from_lists(records, top_k):
+    """Terms and coverage computed with one FOS set kept per record."""
+    frequency: dict[str, int] = {}
+    fos_sets = []
+    for record in records:
+        fos_sets.append(record.fos_terms)
+        for term in record.fos_terms:
+            frequency[term] = frequency.get(term, 0) + 1
+    ranked = sorted(frequency.items(), key=lambda item: (-item[1], item[0]))
+    terms = frozenset(term for term, _ in ranked[:top_k])
+    return terms, sum(1 for fos in fos_sets if fos & terms) / len(fos_sets)
+
+
+@given(st.lists(st.frozensets(st.sampled_from("abcdefg"), max_size=4), min_size=1, max_size=60),
+       st.integers(min_value=1, max_value=8))
+def test_fos_filter_counting_distinct_sets_equals_list_based(fos_sets, top_k):
+    records = [_record(f"p{i}", fos=fos) for i, fos in enumerate(fos_sets)]
+    fos = compute_fos_filter(iter(records), top_k)
+    assert (fos.terms, fos.coverage) == _fos_filter_from_lists(records, top_k)
 
 
 class TestFilterByFos:

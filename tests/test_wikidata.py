@@ -12,8 +12,7 @@ from urllib.parse import parse_qs, urlsplit
 import pytest
 
 from ircmap.gazetteer import GazetteerError
-from ircmap.ingest import AffiliationMention
-from ircmap.resolver import Category, resolve
+from ircmap.ingest import token_key
 from ircmap.wikidata import (
     CacheEntry,
     CacheStatus,
@@ -103,16 +102,6 @@ class TestCacheStore:
         store.put(self._entry(countries=("Canada",)))
         store.put(self._entry(countries=("France",)))
         assert CacheStore(path).get("k").countries == ("France",)
-
-    def test_error_entries_expire(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        old = datetime.now(timezone.utc) - timedelta(hours=25)
-        store = CacheStore(path)
-        store.put(self._entry(status=CacheStatus.ERROR, at=old, detail="http 500"))
-        assert store.get("k") is None
-        fresh = self._entry(status=CacheStatus.ERROR, detail="http 500")
-        store.put(fresh)
-        assert store.get("k") == fresh
 
     def test_hit_entries_do_not_expire(self, tmp_path):
         old = datetime.now(timezone.utc) - timedelta(days=400)
@@ -289,20 +278,57 @@ class TestQueryCountry:
         assert entry.status is CacheStatus.ERROR
         assert transport.calls == 1
 
-    def test_unusable_endpoint_neither_retried_nor_cached(self, label_map, gazetteer):
-        sleeps = []
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            "query.wikidata.org/sparql",
+            "ftp://query.wikidata.org/sparql",
+            "https:///sparql",
+            "http://127.0.0.1:abc/sparql",
+            "http://127.0.0.1:70000/sparql",
+            "http://[::1/sparql",
+        ],
+    )
+    def test_unusable_endpoint_rejected_when_built_online(self, label_map, endpoint):
+        with pytest.raises(ValueError, match=r"^SPARQL endpoint must be an http\(s\) URL with a host: "):
+            WikidataClient(cache=CacheStore(), label_map=label_map, endpoint=endpoint)
+        # Offline, the endpoint is never used, so it is not judged either.
         client = WikidataClient(
-            cache=CacheStore(), label_map=label_map, endpoint="query.wikidata.org/sparql",
-            rate_limit=0, sleep=sleeps.append,
+            cache=CacheStore(), label_map=label_map, endpoint=endpoint, mode=Mode.OFFLINE,
+            transport=FailingTransport(),
         )
-        entry = client.query_country("McGill University")
-        assert entry.status is CacheStatus.ERROR
-        assert entry.detail == "unusable endpoint URL"
-        assert sleeps == []
-        assert len(client.cache) == 0
-        # The row's evidence is the short note, not urllib's message quoting the whole query.
-        row = resolve(AffiliationMention("p", 0, "Dept of CS, McGill University"), gazetteer, client)
-        assert (row.category, row.evidence) == (Category.UNIDENTIFIED, "unusable endpoint URL")
+        assert client.query_country("McGill University").detail == "offline-miss"
+
+    @staticmethod
+    def _error_entry(fragment, age):
+        at = datetime.now(timezone.utc) - age
+        return CacheEntry(token_key(fragment), (), CacheStatus.ERROR, at.isoformat(), "http 503")
+
+    def test_error_entries_expire(self, label_map):
+        stale = self._error_entry("McGill University", timedelta(hours=25))
+        fresh = self._error_entry("ETH Zurich", timedelta(hours=1))
+        cache = CacheStore()
+        for entry in (stale, fresh):
+            cache.put(entry)
+        transport = ScriptedTransport([TransportResponse(200, _bindings("Canada"))])
+        client = WikidataClient(
+            cache=cache, label_map=label_map, transport=transport, rate_limit=0.0, sleep=lambda s: None
+        )
+        assert client.query_country("ETH Zurich") == fresh
+        assert transport.calls == 0
+        assert client.query_country("McGill University").countries == ("Canada",)
+        assert transport.calls == 1
+        assert cache.get(stale.key).status is CacheStatus.HIT
+
+    def test_offline_error_entry_answers_as_recorded_however_old(self, label_map):
+        cache = CacheStore()
+        for fragment, hours in (("McGill University", 30), ("ETH Zurich", 1)):
+            cache.put(self._error_entry(fragment, timedelta(hours=hours)))
+        client = WikidataClient(
+            cache=cache, label_map=label_map, mode=Mode.OFFLINE, transport=FailingTransport()
+        )
+        for fragment in ("McGill University", "ETH Zurich"):
+            assert client.query_country(fragment) == cache.get(token_key(fragment))
 
     def test_malformed_body_not_cached(self, label_map):
         transport = ScriptedTransport([TransportResponse(200, "<html>oops</html>")])
