@@ -33,7 +33,6 @@ from ircmap.prep import (
 )
 from ircmap.resolver import (
     Category,
-    IdentificationBreakdown,
     Resolution,
     match_step1,
     resolve,
@@ -67,7 +66,6 @@ __all__ = [
     "FosFilter",
     "Gazetteer",
     "GazetteerError",
-    "IdentificationBreakdown",
     "IngestError",
     "IrcStats",
     "LabelMap",

@@ -245,7 +245,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
         client = _build_client(args, gazetteer, data_dir)
 
         reader = parse_records(in_path, Format(args.format))
-        run = resolve_corpus(reader, gazetteer, client, jobs=args.jobs)
+        counts = dict.fromkeys(Category, 0)
         with ExitStack() as files:
             handle = files.enter_context(open(out.stage / "enriched.jsonl", "w", encoding="utf-8"))
             csv_writer = None
@@ -257,23 +257,18 @@ def cmd_resolve(args: argparse.Namespace) -> int:
                 )
                 csv_writer.writerow(ENRICHED_FIELDS)
             memo = {}
-            for r in run:
+            for r in resolve_corpus(reader, gazetteer, client, jobs=args.jobs):
+                counts[r.category] += 1
                 handle.write(_enriched_line(r, memo))
                 if csv_writer is not None:
                     csv_writer.writerow(
                         [r.paper_id, r.author_index, r.raw, r.category.value, r.iso2, r.evidence, r.ambiguous]
                     )
         _warn_skipped(in_path, reader)
-        write_breakdown(out.stage, run.breakdown)
-        out.commit(
-            args,
-            [in_path],
-            {
-                "mentions": run.breakdown.total,
-                **{c.value: run.breakdown.counts[c] for c in Category},
-            },
-        )
-    print(f"resolved {run.breakdown.total} mentions -> {out.out_dir}")
+        write_breakdown(out.stage, counts)
+        total = sum(counts.values())
+        out.commit(args, [in_path], {"mentions": total, **{c.value: n for c, n in counts.items()}})
+    print(f"resolved {total} mentions -> {out.out_dir}")
     return 0
 
 

@@ -160,7 +160,6 @@ class BibRecord:
 
 @dataclass
 class ParseReport:
-    records_yielded: int = 0
     rows_skipped: int = 0
 
 
@@ -216,7 +215,7 @@ def _parse_fos(terms: object, memo: dict[str, str]) -> frozenset[str]:
 class RecordReader:
     """Iterable of :class:`BibRecord` with a :class:`ParseReport`.
 
-    The report's counters are final only once the stream is exhausted.
+    ``report.rows_skipped`` is final only once the stream is exhausted.
     """
 
     def __init__(self, rows: Iterator[BibRecord], report: ParseReport):
@@ -446,5 +445,4 @@ def _first_per_id(records: Iterator[tuple[BibRecord, int]], report: ParseReport)
             report.rows_skipped += rows
             continue
         seen.add(record.paper_id)
-        report.records_yielded += 1
         yield record

@@ -13,7 +13,7 @@ from typing import Optional
 
 from ircmap.metrics import IrcStats
 from ircmap.prep import PrepStats
-from ircmap.resolver import IdentificationBreakdown, TOTAL_LABEL
+from ircmap.resolver import Category
 
 __all__ = [
     "render_aligned",
@@ -21,6 +21,16 @@ __all__ = [
     "write_irc_stats",
     "write_prep_report",
 ]
+
+#: Breakdown row labels, one per category; rows follow ``Category`` order.
+CATEGORY_LABELS = {
+    Category.NULL_LIKE: "NA, Null, etc values",
+    Category.COUNTRY_NAME: "Country names identified",
+    Category.COMPONENT_PART: "Component parts identified",
+    Category.WIKIDATA: "Identified by Wikidata",
+    Category.UNIDENTIFIED: "Not identified (Other values)",
+}
+TOTAL_LABEL = "Affiliations"
 
 
 def render_aligned(rows: list[tuple], header: Optional[tuple] = None) -> str:
@@ -84,17 +94,31 @@ def write_prep_report(out_dir: Path, stats: PrepStats) -> None:
     )
 
 
-def write_breakdown(out_dir: Path, breakdown: IdentificationBreakdown) -> None:
-    """Identification breakdown: one row per category, plus the total row."""
-    rows = breakdown.rows()
-    payload = {"total": breakdown.total, "rows": rows}
-    table = [(TOTAL_LABEL, breakdown.total, "")]
+def write_breakdown(out_dir: Path, counts: dict[Category, int]) -> None:
+    """Identification breakdown from mention counts per category.
+
+    The total row comes first, then one row per category in ``Category``
+    order with its percentage of the total (0.0 when the total is 0).  A
+    category missing from ``counts`` counts 0, so a ``Counter`` will do.
+    """
+    total = sum(counts.values())
+    rows = [
+        {
+            "category": c.value,
+            "label": CATEGORY_LABELS[c],
+            "count": counts.get(c, 0),
+            "pct": 100.0 * counts.get(c, 0) / total if total else 0.0,
+        }
+        for c in Category
+    ]
+    payload = {"total": total, "rows": rows}
+    table = [(TOTAL_LABEL, total, "")]
     table += [(row["label"], row["count"], f"{row['pct']:.2f}%") for row in rows]
     _write_json(out_dir / "breakdown.json", payload)
     with open(out_dir / "breakdown.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["result", "count", "pct"])
-        writer.writerow([TOTAL_LABEL, breakdown.total, ""])
+        writer.writerow([TOTAL_LABEL, total, ""])
         for row in rows:
             writer.writerow([row["label"], row["count"], f"{row['pct']:.2f}"])
     (out_dir / "breakdown.txt").write_text(

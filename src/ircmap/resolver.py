@@ -21,17 +21,19 @@ before a number, which keeps tokens like "de", "in", or "al" inside
 institution names from matching as US states.
 
 The knowledge-graph step is only ever invoked for mentions that step 1 could
-not identify.
+not identify.  Both steps describe a string's result as one ``Outcome``; a
+``Resolution`` is a mention's ids and raw string followed by its outcome.
+Counting and presenting the categories is left to the caller.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ircmap.gazetteer import Gazetteer, Interpretation, KeyEntry
 from ircmap.ingest import (
@@ -46,10 +48,8 @@ from ircmap.wikidata import CacheStatus, Mode, WikidataClient
 
 __all__ = [
     "Category",
-    "IdentificationBreakdown",
+    "Outcome",
     "Resolution",
-    "ResolutionRun",
-    "Step1Match",
     "check_outcome",
     "match_step1",
     "resolve",
@@ -78,16 +78,6 @@ class Category(str, Enum):
     UNIDENTIFIED = "Unidentified"
 
 
-#: Report row labels, in fixed presentation order.
-CATEGORY_LABELS = {
-    Category.NULL_LIKE: "NA, Null, etc values",
-    Category.COUNTRY_NAME: "Country names identified",
-    Category.COMPONENT_PART: "Component parts identified",
-    Category.WIKIDATA: "Identified by Wikidata",
-    Category.UNIDENTIFIED: "Not identified (Other values)",
-}
-TOTAL_LABEL = "Affiliations"
-
 _IDENTIFIED = frozenset({Category.COUNTRY_NAME, Category.COMPONENT_PART, Category.WIKIDATA})
 
 
@@ -101,9 +91,21 @@ def check_outcome(category: Category, iso2: Optional[str], evidence: str) -> Non
         raise ValueError("identified resolutions need non-empty evidence")
 
 
+class Outcome(NamedTuple):
+    """What one cleaned affiliation string resolves to, from either step."""
+
+    category: Category
+    iso2: Optional[str]
+    evidence: str
+    ambiguous: bool
+
+
+_NULL_LIKE = Outcome(Category.NULL_LIKE, None, "", False)
+
+
 @dataclass(frozen=True)
 class Resolution:
-    """Outcome of resolving one mention; one row of the enriched output.
+    """One mention's ids and raw string, then its ``Outcome``; one row of the enriched output.
 
     ``raw`` is the mention's own affiliation string, byte-for-byte, even when
     another raw string with the same cleaned form supplied the outcome.
@@ -123,14 +125,6 @@ class Resolution:
         check_outcome(self.category, self.iso2, self.evidence)
 
 
-@dataclass(frozen=True)
-class Step1Match:
-    iso2: str
-    category: Category  # COUNTRY_NAME or COMPONENT_PART
-    evidence: str
-    ambiguous: bool
-
-
 def _pick_interpretation(entry: KeyEntry, joined: str) -> Interpretation:
     """Apply the ambiguity table's preference, flipped by a context marker."""
     padded = f" {joined} "
@@ -139,15 +133,16 @@ def _pick_interpretation(entry: KeyEntry, joined: str) -> Interpretation:
     return order[0]
 
 
-def _match(entry: KeyEntry, interp: Interpretation) -> Step1Match:
+def _match(entry: KeyEntry, interp: Interpretation) -> Outcome:
     category = Category.COUNTRY_NAME if interp.kind == "country" else Category.COMPONENT_PART
-    return Step1Match(
-        interp.iso2, category, interp.part_name or entry.token, len(entry.interpretations) > 1
-    )
+    return Outcome(category, interp.iso2, interp.part_name or entry.token, len(entry.interpretations) > 1)
 
 
-def match_step1(n: NormalizedAffiliation, g: Gazetteer) -> Optional[Step1Match]:
+def match_step1(n: NormalizedAffiliation, g: Gazetteer) -> Optional[Outcome]:
     """Gazetteer pass over a normalized, non-null affiliation.
+
+    Returns a ``CountryName`` or ``ComponentPart`` outcome, or ``None`` when
+    no usable key is found.
 
     One right-to-left pass over segments and end positions; at each end only
     the longest key (up to three tokens) counts.  A country key anywhere in
@@ -204,15 +199,7 @@ def wikidata_fragments(raw: str) -> list[str]:
     return fragments
 
 
-def _step1(n: NormalizedAffiliation, g: Gazetteer) -> Optional[tuple]:
-    """Outcome for a null-like or gazetteer-identified string, else ``None``."""
-    if n.null_like:
-        return (Category.NULL_LIKE, None, "", False)
-    hit = match_step1(n, g)
-    return None if hit is None else (hit.category, hit.iso2, hit.evidence, hit.ambiguous)
-
-
-def _step2(misses: dict[str, str], client: Optional[WikidataClient], lookup=map) -> dict[str, tuple]:
+def _step2(misses: dict[str, str], client: Optional[WikidataClient], lookup=map) -> dict[str, Outcome]:
     """Knowledge-graph outcomes for the strings step 1 could not identify.
 
     ``misses`` maps each cleaned string to its first raw form.  Lookups run
@@ -223,7 +210,7 @@ def _step2(misses: dict[str, str], client: Optional[WikidataClient], lookup=map)
     ``map``) runs only ``client.query_country``; fragments, keys and labels
     are handled on the calling thread.
     """
-    outcomes: dict[str, tuple] = {}
+    outcomes: dict[str, Outcome] = {}
     notes = dict.fromkeys(misses, "")
     walks = {} if client is None else {
         cleaned: [(token_key(f), f) for f in wikidata_fragments(raw)] for cleaned, raw in misses.items()
@@ -249,10 +236,10 @@ def _step2(misses: dict[str, str], client: Optional[WikidataClient], lookup=map)
                 notes[cleaned] = f"unmapped country label: {labels[0]}"
                 logger.warning("no ISO code for country label %r (fragment %r)", labels[0], fragment)
                 continue
-            outcomes[cleaned] = (Category.WIKIDATA, iso2, key, False)
+            outcomes[cleaned] = Outcome(Category.WIKIDATA, iso2, key, False)
         r += 1
         pending = [cleaned for cleaned in pending if cleaned not in outcomes and len(walks[cleaned]) > r]
-    return {c: outcomes.get(c) or (Category.UNIDENTIFIED, None, notes[c], False) for c in misses}
+    return {c: outcomes.get(c) or Outcome(Category.UNIDENTIFIED, None, notes[c], False) for c in misses}
 
 
 def resolve(
@@ -267,50 +254,8 @@ def resolve(
     mention to ``Unidentified`` (with the error noted in ``evidence``) rather
     than aborting.
     """
-    n = normalize_affiliation(m.raw)
-    outcome = _step1(n, g) or _step2({n.cleaned: m.raw}, client)[n.cleaned]
-    return Resolution(m.paper_id, m.author_index, m.raw, *outcome)
-
-
-@dataclass
-class IdentificationBreakdown:
-    """Mention counts per category, in report presentation order."""
-
-    counts: dict = field(default_factory=lambda: {c: 0 for c in Category})
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def add(self, category: Category) -> None:
-        self.counts[category] += 1
-
-    def rows(self) -> list[dict]:
-        total = self.total
-        out = []
-        for category in Category:
-            count = self.counts[category]
-            pct = (100.0 * count / total) if total else 0.0
-            out.append(
-                {
-                    "category": category.value,
-                    "label": CATEGORY_LABELS[category],
-                    "count": count,
-                    "pct": pct,
-                }
-            )
-        return out
-
-
-class ResolutionRun:
-    """Stream of resolutions; ``breakdown`` is complete once exhausted."""
-
-    def __init__(self, resolutions: Iterator[Resolution], breakdown: IdentificationBreakdown):
-        self._resolutions = resolutions
-        self.breakdown = breakdown
-
-    def __iter__(self) -> Iterator[Resolution]:
-        return self._resolutions
+    (r,) = resolve_corpus([BibRecord(m.paper_id, mentions=(m,))], g, client)
+    return r
 
 
 def _mentions(records: Iterable[BibRecord]) -> Iterator[AffiliationMention]:
@@ -323,53 +268,47 @@ def resolve_corpus(
     g: Gazetteer,
     client: Optional[WikidataClient] = None,
     jobs: int = 1,
-) -> ResolutionRun:
-    """Resolve every mention of a record stream, in input order.
+) -> Iterator[Resolution]:
+    """Yield a ``Resolution`` for every mention of a record stream, in input order.
 
-    Identical normalized strings are resolved once and reused for the whole
-    run.  Each chunk of ``_CHUNK_SIZE`` mentions keeps a map from raw string
-    to cleaned string, so a raw string repeated within a chunk is normalized
-    once; the map is dropped with its chunk.  The distinct step-1 misses of
-    a chunk are looked up in rounds (see ``_step2``).  Everything but the
-    lookups runs on the calling thread; with ``jobs > 1`` and an online
-    client, each round's lookups run on ``jobs`` pool threads.  Offline and
-    client-less runs start no pool.  Neither the output nor its order
-    depends on ``jobs``.
+    The iterator is lazy: records are read, and lookups made, only as
+    resolutions are taken from it.  Identical normalized strings are resolved
+    once and reused for the whole run.  Each chunk of ``_CHUNK_SIZE`` mentions
+    keeps a map from raw string to cleaned string, so a raw string repeated
+    within a chunk is normalized once; the map is dropped with its chunk.
+    The distinct step-1 misses of a chunk are looked up in rounds (see
+    ``_step2``).  Everything but the lookups runs on the calling thread; with
+    ``jobs > 1`` and an online client, each round's lookups run on ``jobs``
+    pool threads.  Offline and client-less runs start no pool.  Neither the
+    output nor its order depends on ``jobs``.
     """
-    breakdown = IdentificationBreakdown()
     online = client is not None and client.mode is Mode.ONLINE
-
-    def generate() -> Iterator[Resolution]:
-        memo: dict[str, tuple] = {}
-        mentions = _mentions(records)
-        pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 and online else None
-        lookup = pool.map if pool is not None else map
-        try:
-            while True:
-                chunk = list(islice(mentions, _CHUNK_SIZE))
-                if not chunk:
-                    break
-                cleaned: dict[str, str] = {}  # raw string -> its cleaned form, this chunk only
-                misses: dict[str, str] = {}  # cleaned string -> first raw seen
-                for m in chunk:
-                    if m.raw in cleaned:
-                        continue
-                    n = normalize_affiliation(m.raw)
-                    cleaned[m.raw] = n.cleaned
-                    if n.cleaned in memo or n.cleaned in misses:
-                        continue
-                    outcome = _step1(n, g)
-                    if outcome is None:
-                        misses[n.cleaned] = m.raw
-                    else:
-                        memo[n.cleaned] = outcome
-                memo.update(_step2(misses, client, lookup))
-                for m in chunk:
-                    category, iso2, evidence, ambiguous = memo[cleaned[m.raw]]
-                    breakdown.add(category)
-                    yield Resolution(m.paper_id, m.author_index, m.raw, category, iso2, evidence, ambiguous)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    return ResolutionRun(generate(), breakdown)
+    memo: dict[str, Outcome] = {}
+    mentions = _mentions(records)
+    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 and online else None
+    lookup = pool.map if pool is not None else map
+    try:
+        while True:
+            chunk = list(islice(mentions, _CHUNK_SIZE))
+            if not chunk:
+                break
+            cleaned: dict[str, str] = {}  # raw string -> its cleaned form, this chunk only
+            misses: dict[str, str] = {}  # cleaned string -> first raw seen
+            for m in chunk:
+                if m.raw in cleaned:
+                    continue
+                n = normalize_affiliation(m.raw)
+                cleaned[m.raw] = n.cleaned
+                if n.cleaned in memo or n.cleaned in misses:
+                    continue
+                outcome = _NULL_LIKE if n.null_like else match_step1(n, g)
+                if outcome is None:
+                    misses[n.cleaned] = m.raw
+                else:
+                    memo[n.cleaned] = outcome
+            memo.update(_step2(misses, client, lookup))
+            for m in chunk:
+                yield Resolution(m.paper_id, m.author_index, m.raw, *memo[cleaned[m.raw]])
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)

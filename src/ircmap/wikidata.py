@@ -348,9 +348,9 @@ class WikidataClient:
 
     Offline mode answers from the cache only and performs no network
     operations at all.  Online, an endpoint URL without an http(s) scheme, a
-    host or a valid port raises ``ValueError`` here.  Lookups are not
-    coalesced: two concurrent lookups of one normalized fragment each send a
-    request.
+    host or a valid port, or with whitespace or a control character in it,
+    raises ``ValueError`` here.  Lookups are not coalesced: two concurrent
+    lookups of one normalized fragment each send a request.
     """
 
     def __init__(
@@ -377,7 +377,8 @@ class WikidataClient:
                 parts.port  # raises ValueError for a port that is not a number in range
             except ValueError:
                 parts = None
-            if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            plain = endpoint.isprintable() and " " not in endpoint  # urlsplit drops tabs, newlines, edge spaces
+            if not plain or parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
                 raise ValueError(f"SPARQL endpoint must be an http(s) URL with a host: {endpoint!r}")
         self.transport = transport if transport is not None else RequestsTransport()
         self.rate_limiter = RateLimiter(rate_limit, clock=clock, sleep=sleep)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -78,17 +79,13 @@ def test_partition_exactness_on_randomized_corpus(gazetteer, label_map):
         transport=FailingTransport(),
     )
     start = time.perf_counter()
-    run = resolve_corpus([_record("p", mentions)], gazetteer, client)
-    resolutions = list(run)
+    counts = Counter(r.category for r in resolve_corpus([_record("p", mentions)], gazetteer, client))
     elapsed = time.perf_counter() - start
 
-    rows = run.breakdown.rows()
-    assert len(resolutions) == 10_000
-    assert sum(row["count"] for row in rows) == run.breakdown.total == 10_000
-    assert all(run.breakdown.counts[c] > 0 for c in Category), "fixture must span all categories"
-    assert sum(row["pct"] for row in rows) == pytest.approx(100.0, abs=1e-9)
+    assert sum(counts.values()) == 10_000
+    assert all(counts[c] > 0 for c in Category), "fixture must span all categories"
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
-    print(f"{PASS} partition exactness: 6 rows sum to 10000, pcts sum to 100.000% ({elapsed:.2f}s)")
+    print(f"{PASS} partition exactness: 5 categories sum to 10000 ({elapsed:.2f}s)")
 
 
 def test_pipeline_ordering_controls_knowledge_graph_queries(gazetteer, label_map):
@@ -317,10 +314,9 @@ def test_throughput_one_million_step1_mentions(gazetteer, label_map):
             yield _record(f"p{i}", raws)
 
     start = time.perf_counter()
-    run = resolve_corpus(records(), gazetteer, client)
     count = 0
     identified = 0
-    for resolution in run:
+    for resolution in resolve_corpus(records(), gazetteer, client):
         count += 1
         if resolution.iso2 is not None:
             identified += 1

@@ -639,6 +639,10 @@ class TestEnvironment:
             ("ftp://query.wikidata.org/sparql", False),
             ("https:///sparql", False),
             ("http://127.0.0.1:abc/sparql", False),
+            ("http://127.0.0.1:9/spa rql", False),
+            ("http://127.0.0.1:9/x\x01y", True),
+            ("http://127.0.0.1:9/sparql\n", False),
+            (" http://127.0.0.1:9/sparql", True),
         ],
     )
     def test_unusable_endpoint_rejected_before_any_lookup(self, tmp_path, monkeypatch, capsys,

@@ -4,6 +4,7 @@ import functools
 import re
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +15,7 @@ from ircmap.gazetteer import build_gazetteer, default_data_dir
 from ircmap.ingest import AffiliationMention, BibRecord, normalize_affiliation, token_key
 from ircmap.resolver import (
     Category,
-    Step1Match,
+    Outcome,
     match_step1,
     resolve,
     resolve_corpus,
@@ -163,11 +164,11 @@ def _oracle_match_step1(n, g):
             if c_win in g.ambiguity:
                 interp = pick_interpretation(c_win, joined)
                 if interp.kind == "country":
-                    return Step1Match(interp.iso2, Category.COUNTRY_NAME, c_win, True)
-                return Step1Match(
-                    interp.iso2, Category.COMPONENT_PART, interp.part_name or c_win, True
+                    return Outcome(Category.COUNTRY_NAME, interp.iso2, c_win, True)
+                return Outcome(
+                    Category.COMPONENT_PART, interp.iso2, interp.part_name or c_win, True
                 )
-            return Step1Match(g.country_key_map[c_win], Category.COUNTRY_NAME, c_win, False)
+            return Outcome(Category.COUNTRY_NAME, g.country_key_map[c_win], c_win, False)
 
     for tokens in seg_tokens:
         for end in range(len(tokens) - 1, -1, -1):
@@ -187,7 +188,7 @@ def _oracle_match_step1(n, g):
                 before_number = end + 1 < len(tokens) and tokens[end + 1].isdigit()
                 if not (at_segment_end or before_number):
                     continue
-            return Step1Match(parent, Category.COMPONENT_PART, part_name, ambiguous)
+            return Outcome(Category.COMPONENT_PART, parent, part_name, ambiguous)
 
     return None
 
@@ -287,8 +288,7 @@ class TestResolveCorpus:
             _record("p1", ["MIT, Cambridge, MA, USA", "Oxford, UK"]),
             _record("p2", ["ETH Zurich, Switzerland", "Kyoto, Japan"]),
         ]
-        run = resolve_corpus(records, gazetteer, client)
-        resolutions = list(run)
+        resolutions = list(resolve_corpus(records, gazetteer, client))
         assert all(r.category is Category.COUNTRY_NAME for r in resolutions)
         assert transport.calls == 0
 
@@ -307,8 +307,7 @@ class TestResolveCorpus:
             "ETH Zurich, National Research Council",
             "Unknown Institute of Advanced Phrenology, Kyoto University",
         ]
-        run = resolve_corpus([_record("p", raws)], gazetteer, client, jobs=jobs)
-        resolutions = list(run)
+        resolutions = list(resolve_corpus([_record("p", raws)], gazetteer, client, jobs=jobs))
         assert transport.calls == 6
         assert [r.iso2 for r in resolutions] == ["CA", "CA", "GB", "CA", "GB", "CH", "CA", "CH", "JP"]
 
@@ -326,16 +325,12 @@ class TestResolveCorpus:
             "University of Oxford",
             "zzqx unknown institute",
         ]
-        run = resolve_corpus([_record("p", raws)], gazetteer, client)
-        list(run)
-        counts = run.breakdown.counts
+        counts = Counter(r.category for r in resolve_corpus([_record("p", raws)], gazetteer, client))
         assert counts[Category.NULL_LIKE] == 1
         assert counts[Category.COUNTRY_NAME] == 4
         assert counts[Category.COMPONENT_PART] == 2
         assert counts[Category.WIKIDATA] == 2
         assert counts[Category.UNIDENTIFIED] == 1
-        pcts = [row["pct"] for row in run.breakdown.rows()]
-        assert pcts == [10.0, 40.0, 20.0, 20.0, 10.0]
 
     def test_memoization_transparency(self, gazetteer, make_replay_client):
         raws = [
@@ -432,14 +427,10 @@ class TestResolveCorpus:
     )
     @settings(max_examples=80, deadline=None)
     def test_partition_exactness(self, gazetteer, raws):
-        run = resolve_corpus([_record("p", raws)], gazetteer, None)
-        resolutions = list(run)
+        resolutions = list(resolve_corpus([_record("p", raws)], gazetteer, None))
         assert len(resolutions) == len(raws)
         for resolution in resolutions:
             assert resolution.category in Category
-        assert sum(run.breakdown.counts.values()) == len(raws)
-        if raws:
-            assert sum(row["pct"] for row in run.breakdown.rows()) == pytest.approx(100.0)
 
     def test_cache_snapshot_makes_reruns_identical(self, gazetteer, make_replay_client, tmp_path):
         path = tmp_path / "cache.jsonl"

@@ -287,6 +287,12 @@ class TestQueryCountry:
             "http://127.0.0.1:abc/sparql",
             "http://127.0.0.1:70000/sparql",
             "http://[::1/sparql",
+            "http://127.0.0.1:9/spa rql",
+            "http://127.0.0.1:9/x\x01y",
+            "http://127.0.0.1:9/sparql\n",
+            " http://127.0.0.1:9/sparql",
+            "http://127.0.0.1:9/spa\trql",
+            "http://127.0.0.1:9/spa\u00a0rql",
         ],
     )
     def test_unusable_endpoint_rejected_when_built_online(self, label_map, endpoint):
