@@ -197,24 +197,13 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             for record in stream:
                 stats.output_records += 1
                 handle.write(record_line(record))
-        write_prep_report(out.stage, stats)
+        counts = write_prep_report(out.stage, stats)
         inputs = [in_path]
         if args.overlap:
             inputs.append(Path(args.overlap))
         if args.dedup_against:
             inputs.append(Path(args.dedup_against))
-        out.commit(
-            args,
-            inputs,
-            {
-                "total_works": stats.total_works,
-                "prepared": stats.output_records,
-                "fos_dropped": stats.fos_dropped,
-                "dedup_dropped": stats.dedup_dropped,
-                "single_author_dropped": stats.single_author_dropped,
-                "no_author_data": stats.no_author_data,
-            },
-        )
+        out.commit(args, inputs, counts)
     print(f"prepared {stats.output_records} of {stats.total_works} records -> {out.out_dir}")
     return 0
 
@@ -265,10 +254,9 @@ def cmd_resolve(args: argparse.Namespace) -> int:
                         [r.paper_id, r.author_index, r.raw, r.category.value, r.iso2, r.evidence, r.ambiguous]
                     )
         _warn_skipped(in_path, reader)
-        write_breakdown(out.stage, counts)
-        total = sum(counts.values())
-        out.commit(args, [in_path], {"mentions": total, **{c.value: n for c, n in counts.items()}})
-    print(f"resolved {total} mentions -> {out.out_dir}")
+        manifest_counts = write_breakdown(out.stage, counts)
+        out.commit(args, [in_path], manifest_counts)
+    print(f"resolved {manifest_counts['mentions']} mentions -> {out.out_dir}")
     return 0
 
 
@@ -323,19 +311,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         stats = compute_irc(collapse_to_papers(_read_enriched(enriched_path), records))
         if records is not None:
             _warn_skipped(records_path, records)
-        write_irc_stats(out.stage, stats)
+        counts = write_irc_stats(out.stage, stats)
         inputs = [enriched_path] + ([records_path] if records_path else [])
-        out.commit(
-            args,
-            inputs,
-            {
-                "papers": stats.total_papers,
-                "international": stats.international,
-                "domestic": stats.domestic,
-                "unmeasurable": stats.unmeasurable,
-            },
-        )
-    print(f"computed collaboration stats for {stats.total_papers} papers -> {out.out_dir}")
+        out.commit(args, inputs, counts)
+    print(f"computed collaboration stats for {stats.total} papers -> {out.out_dir}")
     return 0
 
 

@@ -125,44 +125,14 @@ class YearStats:
 class IrcStats(YearStats):
     """Corpus-level collaboration measures: ``YearStats`` over all papers, per year and per pair.
 
-    ``pair_counts`` maps each unordered country pair (stored sorted) to the
-    number of papers where both appear; a paper with k countries contributes
-    k*(k-1)/2 pairs, each once.
+    Counters only: :func:`ircmap.reports.write_irc_stats` owns the report
+    built from them.  ``pair_counts`` maps each unordered country pair (stored
+    sorted) to the number of papers where both appear; a paper with k
+    countries contributes k*(k-1)/2 pairs, each once.
     """
 
     per_year: dict = field(default_factory=dict)  # year (int or None) -> YearStats
     pair_counts: dict = field(default_factory=dict)  # (iso2, iso2) sorted -> int
-
-    @property
-    def total_papers(self) -> int:
-        """``total``, under the name the reports and ``irc_stats.json`` use."""
-        return self.total
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "total_papers": self.total_papers,
-            "international": self.international,
-            "domestic": self.domestic,
-            "unmeasurable": self.unmeasurable,
-            "irc_ratio": self.irc_ratio,
-            "per_year": {
-                ("unknown" if year is None else str(year)): {
-                    "total": ys.total,
-                    "international": ys.international,
-                    "domestic": ys.domestic,
-                    "unmeasurable": ys.unmeasurable,
-                    "irc_ratio": ys.irc_ratio,
-                }
-                for year, ys in sorted(
-                    self.per_year.items(), key=lambda kv: (kv[0] is None, kv[0] or 0)
-                )
-            },
-            "pair_counts": {
-                f"{a}-{b}": count
-                for (a, b), count in sorted(self.pair_counts.items())
-            },
-        }
 
 
 def compute_irc(papers: Iterable[PaperCountrySet]) -> IrcStats:

@@ -162,7 +162,7 @@ def filter_coauthored(
 
 @dataclass
 class PrepStats:
-    """Counters and year range collected across the preparation pipeline."""
+    """Counters only, with the year range and FOS filter; ``reports`` owns the report."""
 
     total_works: int = 0
     fos_dropped: int = 0
@@ -180,9 +180,3 @@ class PrepStats:
         if record.year is not None:
             self.min_year = record.year if self.min_year is None else min(self.min_year, record.year)
             self.max_year = record.year if self.max_year is None else max(self.max_year, record.year)
-
-    @property
-    def date_range(self) -> str:
-        if self.min_year is None:
-            return "n/a"
-        return f"{self.min_year}-{self.max_year}"

@@ -223,18 +223,18 @@ def test_irc_oracle_equivalence():
             assert len(pairs) == k * (k - 1) // 2
             for pair in pairs:
                 pair_counts[pair] = pair_counts.get(pair, 0) + 1
-        assert stats.total_papers == len(papers)
+        assert stats.total == len(papers)
         assert stats.international == international
         assert stats.domestic == domestic
         assert stats.unmeasurable == unmeasurable
-        assert stats.international + stats.domestic + stats.unmeasurable == stats.total_papers
+        assert stats.international + stats.domestic + stats.unmeasurable == stats.total
         assert stats.pair_counts == pair_counts
         if international + domestic:
             assert stats.irc_ratio == pytest.approx(international / (international + domestic))
         else:
             assert stats.irc_ratio is None
         per_year_total = sum(ys.total for ys in stats.per_year.values())
-        assert per_year_total == stats.total_papers
+        assert per_year_total == stats.total
     print(f"{PASS} IRC oracle: 100 randomized corpora match brute-force enumeration")
 
 

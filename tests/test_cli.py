@@ -812,6 +812,34 @@ def test_manifest_lists_exactly_the_stage_outputs(corpus_20, tmp_path, warm_cach
         assert manifest["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
 
 
+def test_manifest_counts_equal_the_reports(corpus_20, tmp_path, warm_cache):
+    prep, resolved, stats = tmp_path / "prep", tmp_path / "resolved", tmp_path / "stats"
+    prepared = str(prep / "prepared.jsonl")
+    assert main(["prepare", "--input", str(corpus_20), "--output", str(prep), "--top-k-fos", "1"]) == 0
+    assert main(["resolve", "--input", prepared, "--output", str(resolved),
+                 "--cache", str(warm_cache), "--offline"]) == 0
+    assert main(["metrics", "--input", str(resolved / "enriched.jsonl"), "--records", prepared,
+                 "--output", str(stats)]) == 0
+
+    def read(out, name):
+        return json.loads((out / name).read_text(encoding="utf-8"))
+
+    report = read(prep, "prep_report.json")
+    assert read(prep, "manifest.json")["counts"] == {
+        "total_works": report["Total works"], "prepared": report["Unique, co-authored, CS works"],
+        **{k: v for k, v in report["detail"].items() if k.endswith("dropped") or k == "no_author_data"},
+    }
+    breakdown = read(resolved, "breakdown.json")
+    counts = read(resolved, "manifest.json")["counts"]
+    assert counts.pop("mentions") == breakdown["total"]
+    assert counts == {row["category"]: row["count"] for row in breakdown["rows"]}
+    irc = read(stats, "irc_stats.json")
+    assert read(stats, "manifest.json")["counts"] == {
+        "papers": irc["total_papers"], "international": irc["international"],
+        "domestic": irc["domestic"], "unmeasurable": irc["unmeasurable"],
+    }
+
+
 def test_manifest_config_echoes_only_the_stage_options(corpus_20, tmp_path, warm_cache):
     prep, resolved, stats = tmp_path / "prep", tmp_path / "resolved", tmp_path / "stats"
     prepared = str(prep / "prepared.jsonl")

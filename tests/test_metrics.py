@@ -237,7 +237,7 @@ class TestComputeIrc:
 
     def test_empty_corpus(self):
         stats = compute_irc([])
-        assert stats.total_papers == 0
+        assert stats.total == 0
         assert stats.irc_ratio is None
 
     def test_fifty_paper_fixture_equals_enumeration_oracle(self):
@@ -257,7 +257,7 @@ class TestComputeIrc:
         for paper in papers:
             for pair in combinations(sorted(paper.countries), 2):
                 pair_counts[pair] = pair_counts.get(pair, 0) + 1
-        assert stats.total_papers == 50
+        assert stats.total == 50
         assert stats.international == international
         assert stats.domestic == domestic
         assert stats.unmeasurable == unmeasurable
@@ -271,7 +271,7 @@ class TestComputeIrc:
             for i in range(200)
         ]
         stats = compute_irc(papers)
-        assert stats.international + stats.domestic + stats.unmeasurable == stats.total_papers
+        assert stats.international + stats.domestic + stats.unmeasurable == stats.total
 
     def test_pair_count_is_k_choose_2_per_paper(self):
         paper = _paper("p1", {"US", "CA", "DE", "JP"})
@@ -293,7 +293,7 @@ class TestComputeIrc:
             for i in range(120)
         ]
         stats = compute_irc(papers)
-        assert sum(ys.total for ys in stats.per_year.values()) == stats.total_papers
+        assert sum(ys.total for ys in stats.per_year.values()) == stats.total
         assert sum(ys.international for ys in stats.per_year.values()) == stats.international
         assert sum(ys.domestic for ys in stats.per_year.values()) == stats.domestic
         assert sum(ys.unmeasurable for ys in stats.per_year.values()) == stats.unmeasurable
@@ -307,17 +307,9 @@ class TestComputeIrc:
         ]
         whole = compute_irc(papers)
         left, right = compute_irc(papers[:45]), compute_irc(papers[45:])
-        assert whole.total_papers == left.total_papers + right.total_papers
+        assert whole.total == left.total + right.total
         assert whole.international == left.international + right.international
         merged_pairs = dict(left.pair_counts)
         for pair, count in right.pair_counts.items():
             merged_pairs[pair] = merged_pairs.get(pair, 0) + count
         assert whole.pair_counts == merged_pairs
-
-    def test_json_document_schema(self):
-        stats = compute_irc([_paper("p1", {"CA", "NZ"}, year=2015), _paper("p2", set(), year=None)])
-        doc = stats.to_json_dict()
-        assert doc["schema_version"] == 1
-        assert doc["per_year"]["2015"]["international"] == 1
-        assert doc["per_year"]["unknown"]["unmeasurable"] == 1
-        assert doc["pair_counts"] == {"CA-NZ": 1}
