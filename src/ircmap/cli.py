@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional
 
 from ircmap import __version__
-from ircmap.gazetteer import GazetteerError, build_gazetteer, default_data_dir
+from ircmap.gazetteer import LABELS_FILE, GazetteerError, build_gazetteer, default_data_dir, table_paths
 from ircmap.ingest import Format, IngestError, parse_records, record_line
 from ircmap.metrics import ConsistencyError, MentionCountry, collapse_to_papers, compute_irc
 from ircmap.prep import DedupIndex, PrepStats, compute_fos_filter, dedup_overlap, filter_by_fos, filter_coauthored
@@ -213,7 +213,7 @@ def _build_client(args: argparse.Namespace, gazetteer, data_dir: Path) -> Wikida
     if args.offline and not cache_path.is_file():
         raise CliError(f"offline mode requires an existing cache file: {cache_path}")
     cache = CacheStore(cache_path)
-    label_map = LabelMap.from_gazetteer(gazetteer, data_dir / "wikidata_labels.tsv")
+    label_map = LabelMap.from_gazetteer(gazetteer, data_dir / LABELS_FILE)
     try:
         return WikidataClient(
             cache=cache,
@@ -232,6 +232,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
         data_dir = Path(args.gazetteer) if args.gazetteer else default_data_dir()
         gazetteer = build_gazetteer(data_dir, include_extension=args.extended_parts)
         client = _build_client(args, gazetteer, data_dir)
+        cache_entries = len(client.cache)
 
         reader = parse_records(in_path, Format(args.format))
         counts = dict.fromkeys(Category, 0)
@@ -255,7 +256,8 @@ def cmd_resolve(args: argparse.Namespace) -> int:
                     )
         _warn_skipped(in_path, reader)
         manifest_counts = write_breakdown(out.stage, counts)
-        out.commit(args, [in_path], manifest_counts)
+        manifest_counts["cache_entries"] = cache_entries
+        out.commit(args, [in_path, *table_paths(data_dir, args.extended_parts)], manifest_counts)
     print(f"resolved {manifest_counts['mentions']} mentions -> {out.out_dir}")
     return 0
 

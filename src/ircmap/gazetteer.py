@@ -11,6 +11,8 @@ comments):
   interpretation is ``country:<iso2>`` or ``part:<parent_iso2>:<part name>``.
   Interpretations are in preference order; a context marker occurring
   elsewhere in the affiliation flips the choice to the second one.
+* ``wikidata_labels.tsv`` -- ``label<TAB>iso2``, Wikidata country labels
+  beyond the canonical names; read by :class:`ircmap.wikidata.LabelMap`
 
 All names and aliases are normalized at load time with the same rules applied
 to affiliation strings, so lookups take normalized, comma-free token strings.
@@ -38,12 +40,14 @@ __all__ = [
     "KeyEntry",
     "build_gazetteer",
     "default_data_dir",
+    "table_paths",
 ]
 
 COUNTRIES_FILE = "countries.tsv"
 PARTS_FILE = "component_parts.tsv"
 PARTS_EXTENSION_FILE = "component_parts_extension.tsv"
 AMBIGUITY_FILE = "ambiguity.tsv"
+LABELS_FILE = "wikidata_labels.tsv"
 
 
 class GazetteerError(Exception):
@@ -54,7 +58,6 @@ class GazetteerError(Exception):
 class CountryEntry:
     iso2: str
     canonical_name: str
-    aliases: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,13 @@ class KeyEntry:
 def default_data_dir() -> Path:
     """Directory of the tables shipped with the package."""
     return Path(str(importlib.resources.files("ircmap") / "data"))
+
+
+def table_paths(data_dir: Path | str, include_extension: bool = False) -> list[Path]:
+    """Every table a ``resolve`` run reads under ``data_dir``, the labels table last."""
+    extension = [PARTS_EXTENSION_FILE] if include_extension else []
+    names = [COUNTRIES_FILE, PARTS_FILE, *extension, AMBIGUITY_FILE, LABELS_FILE]
+    return [Path(data_dir) / name for name in names]
 
 
 def _read_table(path: Path, n_fields_min: int, n_fields_max: int):
@@ -188,7 +198,7 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
         interp, origin = Interpretation("country", iso2), f"{COUNTRIES_FILE}:{lineno}"
         for key in sorted(names):
             claim(key, interp, origin)
-        countries[iso2] = CountryEntry(iso2, canonical, frozenset(names))
+        countries[iso2] = CountryEntry(iso2, canonical)
 
     parts: list[ComponentPartEntry] = []
     part_files = [data_dir / PARTS_FILE]

@@ -92,7 +92,6 @@ class TransportResponse:
 @dataclass(frozen=True)
 class SparqlQuery:
     text: str
-    fragment: str
     url_title: str
 
 
@@ -108,7 +107,7 @@ def build_sparql_query(fragment: str) -> SparqlQuery:
         raise ValueError("empty affiliation fragment")
     url_title = quote("_".join(fragment.split()), safe="")
     text = QUERY_TEMPLATE.replace("[AFFILIATION]", url_title)
-    return SparqlQuery(text=text, fragment=fragment, url_title=url_title)
+    return SparqlQuery(text=text, url_title=url_title)
 
 
 class CacheStatus(str, Enum):

@@ -23,6 +23,7 @@ import ircmap
 import ircmap.cli as cli_module
 import ircmap.resolver
 from ircmap.cli import ENRICHED_FIELDS, _enriched_line, main
+from ircmap.gazetteer import default_data_dir
 from ircmap.resolver import Category, Resolution
 from ircmap.wikidata import CacheEntry, CacheStatus, CacheStore
 
@@ -832,12 +833,37 @@ def test_manifest_counts_equal_the_reports(corpus_20, tmp_path, warm_cache):
     breakdown = read(resolved, "breakdown.json")
     counts = read(resolved, "manifest.json")["counts"]
     assert counts.pop("mentions") == breakdown["total"]
+    assert counts.pop("cache_entries") == 2
     assert counts == {row["category"]: row["count"] for row in breakdown["rows"]}
     irc = read(stats, "irc_stats.json")
     assert read(stats, "manifest.json")["counts"] == {
         "papers": irc["total_papers"], "international": irc["international"],
         "domestic": irc["domestic"], "unmeasurable": irc["unmeasurable"],
     }
+
+
+def _resolve_manifest(corpus, out, cache, *extra) -> dict:
+    assert main(["resolve", "--input", str(corpus), "--output", str(out), "--cache", str(cache),
+                 "--offline", *extra]) == 0
+    return json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_resolve_manifest_digests_every_table_it_read(corpus_20, tmp_path, warm_cache, extended):
+    tables = tmp_path / "tables"
+    shutil.copytree(default_data_dir(), tables)
+    flags = ["--gazetteer", str(tables)] + (["--extended-parts"] if extended else [])
+    manifest = _resolve_manifest(corpus_20, tmp_path / "a", warm_cache, *flags)
+    names = ["countries.tsv", "component_parts.tsv", "ambiguity.tsv", "wikidata_labels.tsv"]
+    names += ["component_parts_extension.tsv"] if extended else []
+    assert set(manifest["inputs"]) == {str(corpus_20)} | {str(tables / name) for name in names}
+    assert manifest["counts"]["cache_entries"] == 2
+
+    edited = tables / "ambiguity.tsv"
+    edited.write_text(edited.read_text(encoding="utf-8") + "# an edit\n", encoding="utf-8")
+    again = _resolve_manifest(corpus_20, tmp_path / "b", warm_cache, *flags)
+    changed = {k for k, digest in again["inputs"].items() if manifest["inputs"][k] != digest}
+    assert changed == {str(edited)}
 
 
 def test_manifest_config_echoes_only_the_stage_options(corpus_20, tmp_path, warm_cache):

@@ -201,7 +201,7 @@ def _oracle_build(data_dir, include_extension=False):
                 conflicts[key] = "country conflict"
                 continue
             country_keys[key] = iso2
-        countries[iso2] = CountryEntry(iso2, canonical, frozenset(keys))
+        countries[iso2] = CountryEntry(iso2, canonical)
 
     parts, part_keys = [], {}
     part_files = [data_dir / PARTS_FILE] + ([data_dir / PARTS_EXTENSION_FILE] if include_extension else [])
