@@ -131,25 +131,26 @@ def _measures(ys: YearStats, total: str = "total") -> dict:
 def write_irc_stats(out_dir: Path, stats: IrcStats) -> dict:
     """Collaboration statistics: JSON document, per-year and pair CSVs, text table.
 
-    Years run in numeric order with the unknown year last, pairs in sorted
-    order.  Returns the ``metrics`` manifest counts.
+    Years run in numeric order with the unknown year last and pairs in
+    sorted order; the JSON document's keys are sorted as it is written.
+    Returns the ``metrics`` manifest counts.
     """
     years = [
         ("unknown" if year is None else str(year), _measures(ys))
         for year, ys in sorted(stats.per_year.items(), key=lambda kv: (kv[0] is None, kv[0] or 0))
     ]
-    pairs = sorted(stats.pair_counts.items())
     _write_json(out_dir / "irc_stats.json", {
         "schema_version": 1,
         **_measures(stats, total="total_papers"),
         "per_year": dict(years),
-        "pair_counts": {f"{a}-{b}": count for (a, b), count in pairs},
+        "pair_counts": {f"{a}-{b}": count for (a, b), count in stats.pair_counts.items()},
     })
     _write_csv(out_dir / "irc_per_year.csv", ["year", *_measures(stats)], (
         [year, *list(m.values())[:-1], "" if m["irc_ratio"] is None else f"{m['irc_ratio']:.6f}"]
         for year, m in years
     ))
-    _write_csv(out_dir / "irc_pairs.csv", ["country_a", "country_b", "papers"], (pair + (n,) for pair, n in pairs))
+    _write_csv(out_dir / "irc_pairs.csv", ["country_a", "country_b", "papers"],
+               (pair + (n,) for pair, n in sorted(stats.pair_counts.items())))
     ratio = stats.irc_ratio
     table = [
         ("Total papers", stats.total),
