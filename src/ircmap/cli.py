@@ -46,7 +46,7 @@ from ircmap.wikidata import (
 
 log = logging.getLogger("ircmap")
 
-ENRICHED_FIELDS = ["paper_id", "author_index", "raw", "category", "iso2", "evidence", "ambiguous"]
+ENRICHED_FIELDS = Resolution._fields
 
 #: Distinct outcomes one enriched-line memo holds; it is cleared when full.
 _OUTCOME_MEMO_SIZE = 1 << 12
@@ -163,6 +163,8 @@ def _warn_skipped(path: Path, reader) -> None:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
+    if args.overlap and not args.top_k_fos:
+        raise CliError("--overlap needs --top-k-fos")
     in_path = _require_input(args.input)
     with OutputSet(Path(args.output)) as out:
         reader = parse_records(in_path, Format(args.format))
@@ -251,9 +253,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
                 counts[r.category] += 1
                 handle.write(_enriched_line(r, memo))
                 if csv_writer is not None:
-                    csv_writer.writerow(
-                        [r.paper_id, r.author_index, r.raw, r.category.value, r.iso2, r.evidence, r.ambiguous]
-                    )
+                    csv_writer.writerow(r)  # a Category is a str, written as its value
         _warn_skipped(in_path, reader)
         manifest_counts = write_breakdown(out.stage, counts)
         manifest_counts["cache_entries"] = cache_entries
@@ -262,22 +262,12 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_row_outcome(category: object, iso2: object, evidence: object) -> None:
-    if not isinstance(category, str):
-        raise TypeError(f"category is not a string: {category!r}")
-    if not (iso2 is None or isinstance(iso2, str)):
-        raise TypeError(f"iso2 is neither null nor a string: {iso2!r}")
-    if not isinstance(evidence, str):
-        raise TypeError(f"evidence is not a string: {evidence!r}")
-    check_outcome(Category(category), iso2, evidence)
-
-
 def _read_enriched(path: Path) -> Iterator[MentionCountry]:
-    """Each row's paper and country, after the checks a ``Resolution`` makes.
+    """Each row's paper and country, after the checks of a written row.
 
-    ``category``, ``evidence`` and ``iso2`` (or null) must be strings, and
-    ``author_index`` a non-negative integer; a missing ``evidence`` is
-    empty.  Each distinct outcome is checked once.
+    ``paper_id`` must be a string and ``author_index`` a non-negative
+    integer.  Each distinct outcome, with a missing ``evidence`` read as
+    empty, passes :func:`check_outcome` once.
     """
     checked: set[tuple] = set()
     with open(path, "r", encoding="utf-8") as handle:
@@ -298,7 +288,7 @@ def _read_enriched(path: Path) -> Iterator[MentionCountry]:
                 except TypeError:  # a list or an object is unhashable
                     known = False
                 if not known:
-                    _check_row_outcome(*outcome)
+                    check_outcome(*outcome)
                     checked.add(outcome)
             except (KeyError, TypeError, ValueError) as exc:
                 raise CliError(f"{path}:{lineno}: bad enriched row: {exc}") from exc
@@ -380,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     prepare.add_argument("--top-k-fos", type=_positive(int), default=None, metavar="K",
                          help="apply a top-K field-of-study filter")
     prepare.add_argument("--overlap", default=None,
-                         help="corpus whose FOS frequencies define the filter (default: the input)")
+                         help="corpus whose FOS frequencies define the --top-k-fos filter (default: the input)")
     prepare.add_argument("--overlap-format", choices=formats, default=Format.GENERIC_JSONL.value)
     prepare.add_argument("--dedup-against", default=None,
                          help="drop records already present in this corpus")

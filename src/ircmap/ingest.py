@@ -47,7 +47,7 @@ from functools import partial
 from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 __all__ = [
     "AffiliationMention",
@@ -89,8 +89,7 @@ _PUNCT_RE = re.compile(r"[^\w\s,]|_")
 _TAB_TOKEN_RE = re.compile(r"#tab#", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class NormalizedAffiliation:
+class NormalizedAffiliation(NamedTuple):
     """Cleaned form of one raw affiliation string.
 
     ``cleaned`` keeps commas (they mark field boundaries used for both
@@ -134,8 +133,7 @@ def token_key(text: str) -> str:
     return " ".join(normalize_affiliation(text).tokens)
 
 
-@dataclass(frozen=True)
-class AffiliationMention:
+class AffiliationMention(NamedTuple):
     """One (paper, author) raw affiliation string; the unit of resolution.
 
     ``raw`` is preserved byte-for-byte for audit.
@@ -146,8 +144,7 @@ class AffiliationMention:
     raw: str
 
 
-@dataclass
-class BibRecord:
+class BibRecord(NamedTuple):
     """One publication with its authors' affiliation mentions."""
 
     paper_id: str
@@ -332,17 +329,6 @@ def _optional_text(obj: dict, field: str) -> str:
     return value
 
 
-def _json_mention(paper_id: str, position: int, author: object) -> AffiliationMention:
-    """A JSONL author entry's mention; a null or empty entry, or a null affiliation, is empty."""
-    author = author or {}
-    if not isinstance(author, dict):
-        raise TypeError(f"author is not an object: {author!r}")
-    author_index = author.get("author_index", position)
-    if type(author_index) is not int or author_index < 0:  # a bool is not an index
-        raise TypeError(f"author_index is not a non-negative integer: {author_index!r}")
-    return AffiliationMention(paper_id, author_index, _optional_text(author, "affiliation"))
-
-
 def _json_record(line: str, fos_memo: dict[str, str]) -> BibRecord:
     """One JSONL line's record; raises ``TypeError`` or ``ValueError`` if it breaks the schema."""
     obj = json.loads(line)
@@ -355,7 +341,15 @@ def _json_record(line: str, fos_memo: dict[str, str]) -> BibRecord:
     authors = [] if obj.get("authors") is None else obj["authors"]
     if not isinstance(authors, list):
         raise TypeError(f"authors is not a list: {authors!r}")
-    mentions = tuple(_json_mention(paper_id, i, a) for i, a in enumerate(authors))
+    mentions = []
+    for position, author in enumerate(authors):
+        author = author or {}  # a null or empty entry, like a null affiliation, is an empty mention
+        if not isinstance(author, dict):
+            raise TypeError(f"author is not an object: {author!r}")
+        author_index = author.get("author_index", position)
+        if type(author_index) is not int or author_index < 0:  # a bool is not an index
+            raise TypeError(f"author_index is not a non-negative integer: {author_index!r}")
+        mentions.append(AffiliationMention(paper_id, author_index, _optional_text(author, "affiliation")))
     if len({m.author_index for m in mentions}) < len(mentions):
         raise ValueError("repeated author_index")
     return BibRecord(
@@ -363,7 +357,7 @@ def _json_record(line: str, fos_memo: dict[str, str]) -> BibRecord:
         title=_optional_text(obj, "title"),
         year=_parse_year(obj.get("year")),
         fos_terms=_parse_fos(obj.get("fos"), fos_memo),
-        mentions=mentions,
+        mentions=tuple(mentions),
         doi=_optional_text(obj, "doi").strip() or None,
     )
 

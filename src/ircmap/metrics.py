@@ -38,12 +38,10 @@ class MentionCountry(NamedTuple):
     iso2: Optional[str]
 
 
-@dataclass(frozen=True)
-class PaperCountrySet:
+class PaperCountrySet(NamedTuple):
     paper_id: str
     year: Optional[int]
     countries: frozenset[str]
-    unresolved_mentions: int
 
 
 def collapse_to_papers(
@@ -54,8 +52,7 @@ def collapse_to_papers(
 
     Reads only ``paper_id`` and ``iso2`` of each resolution, so a
     :class:`MentionCountry` read back from an enriched file serves as well as
-    a :class:`Resolution`.  ``unresolved_mentions`` counts the paper's
-    mentions without ``iso2``: the null-like and unidentified ones.
+    a :class:`Resolution`.
 
     Each paper is yielded as soon as its resolutions end, so a paper's
     resolutions must be contiguous and in record order, as ``resolve`` writes
@@ -85,16 +82,13 @@ def collapse_to_papers(
                 raise ConsistencyError(f"duplicate paper id {paper_id!r} in records")
         seen.add(paper_id)
         countries: set[str] = set()
-        unresolved = 0
         while row is not None and row.paper_id == paper_id:
             if row.iso2 is not None:
                 countries.add(row.iso2)
-            else:
-                unresolved += 1
             row = next(rows, None)
         if row is not None and row.paper_id in seen:
             raise ConsistencyError(f"resolution for paper {row.paper_id!r} is out of record order")
-        yield PaperCountrySet(paper_id, year, frozenset(countries), unresolved)
+        yield PaperCountrySet(paper_id, year, frozenset(countries))
     if row is not None:
         raise ConsistencyError(f"resolution references unknown paper {row.paper_id!r}")
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -81,9 +80,22 @@ class Category(str, Enum):
 _IDENTIFIED = frozenset({Category.COUNTRY_NAME, Category.COMPONENT_PART, Category.WIKIDATA})
 
 
-def check_outcome(category: Category, iso2: Optional[str], evidence: str) -> None:
-    """Raise ``ValueError`` unless ``iso2`` is set exactly for an identified
-    category, and an identified outcome has non-empty ``evidence``."""
+def check_outcome(category: object, iso2: object, evidence: object) -> None:
+    """Raise unless ``(category, iso2, evidence)`` is an outcome that every ``Resolution`` may carry.
+
+    ``category`` is a string naming a :class:`Category` (a member is one),
+    ``iso2`` null or a string and ``evidence`` a string, else ``TypeError``;
+    an unknown category raises ``ValueError``.  ``iso2`` is set exactly for
+    the identified categories, ``CountryName``, ``ComponentPart`` and
+    ``Wikidata``, and their ``evidence`` is non-empty, else ``ValueError``.
+    """
+    if not isinstance(category, str):
+        raise TypeError(f"category is not a string: {category!r}")
+    if not (iso2 is None or isinstance(iso2, str)):
+        raise TypeError(f"iso2 is neither null nor a string: {iso2!r}")
+    if not isinstance(evidence, str):
+        raise TypeError(f"evidence is not a string: {evidence!r}")
+    category = Category(category)
     identified = category in _IDENTIFIED
     if identified != (iso2 is not None):
         raise ValueError(f"iso2 must be set iff identified, got {category!r} with iso2={iso2!r}")
@@ -103,14 +115,14 @@ class Outcome(NamedTuple):
 _NULL_LIKE = Outcome(Category.NULL_LIKE, None, "", False)
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """One mention's ids and raw string, then its ``Outcome``; one row of the enriched output.
 
     ``raw`` is the mention's own affiliation string, byte-for-byte, even when
     another raw string with the same cleaned form supplied the outcome.
     ``iso2`` is present exactly for the three identified categories, and
     ``evidence`` then names the matched alias, part, or queried fragment.
+    The fields, in order, are the enriched row's columns.
     """
 
     paper_id: str
@@ -120,9 +132,6 @@ class Resolution:
     iso2: Optional[str]
     evidence: str
     ambiguous: bool
-
-    def __post_init__(self):
-        check_outcome(self.category, self.iso2, self.evidence)
 
 
 def _pick_interpretation(entry: KeyEntry, joined: str) -> Interpretation:
@@ -280,7 +289,8 @@ def resolve_corpus(
     ``_step2``).  Everything but the lookups runs on the calling thread; with
     ``jobs > 1`` and an online client, each round's lookups run on ``jobs``
     pool threads.  Offline and client-less runs start no pool.  Neither the
-    output nor its order depends on ``jobs``.
+    output nor its order depends on ``jobs``.  Each outcome, from either step,
+    passes :func:`check_outcome` as it enters the memo; every row takes its own from there.
     """
     online = client is not None and client.mode is Mode.ONLINE
     memo: dict[str, Outcome] = {}
@@ -305,8 +315,11 @@ def resolve_corpus(
                 if outcome is None:
                     misses[n.cleaned] = m.raw
                 else:
+                    check_outcome(*outcome[:3])
                     memo[n.cleaned] = outcome
-            memo.update(_step2(misses, client, lookup))
+            for key, outcome in _step2(misses, client, lookup).items():
+                check_outcome(*outcome[:3])
+                memo[key] = outcome
             for m in chunk:
                 yield Resolution(m.paper_id, m.author_index, m.raw, *memo[cleaned[m.raw]])
     finally:

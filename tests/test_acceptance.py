@@ -206,7 +206,6 @@ def test_irc_oracle_equivalence():
                 paper_id=f"c{corpus_index}p{i}",
                 year=rng.choice([1999, 2005, 2012, None]),
                 countries=frozenset(rng.sample(pool, rng.randint(0, 5))),
-                unresolved_mentions=rng.randint(0, 2),
             )
             for i in range(rng.randint(0, 30))
         ]

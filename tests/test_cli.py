@@ -24,6 +24,7 @@ import ircmap.cli as cli_module
 import ircmap.resolver
 from ircmap.cli import ENRICHED_FIELDS, _enriched_line, main
 from ircmap.gazetteer import default_data_dir
+from ircmap.metrics import MentionCountry
 from ircmap.resolver import Category, Resolution
 from ircmap.wikidata import CacheEntry, CacheStatus, CacheStore
 
@@ -126,6 +127,18 @@ class TestPrepare:
         report = json.loads((out / "prep_report.json").read_text())
         assert report["detail"]["fos_dropped"] == 1
         assert report["detail"]["dedup_dropped"] == 1
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["missing", "existing"])
+    def test_overlap_without_top_k_fos_is_user_error(self, corpus_20, tmp_path, capsys, caplog, exists):
+        """``--overlap`` only defines the FOS filter, so without one it stops the run before anything is staged."""
+        overlap = tmp_path / "overlap.jsonl"
+        if exists:
+            _write_jsonl(overlap, [_paper("z", ["Q, Japan"])])
+        out = tmp_path / "out"
+        assert main(["prepare", "--input", str(corpus_20), "--output", str(out), "--overlap", str(overlap)]) == 1
+        assert capsys.readouterr().err == "ircmap: error: --overlap needs --top-k-fos\n"
+        assert "Traceback" not in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--overlap", "--dedup-against"])
     def test_bad_line_in_a_second_corpus_is_reported(self, corpus_20, tmp_path, caplog, option):
@@ -396,34 +409,35 @@ def test_enriched_raw_is_each_mentions_own_string(papers):
 
 #: Text that JSON must escape or may pass through: quotes, backslashes, control
 #: characters, line and paragraph separators, lone surrogates, non-BMP characters.
-_JSON_TEXT = st.text(
-    st.one_of(
-        st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00a0", "\u2028", "\u2029",
-                         "\ud800", "\udfff", "\U0001f600", "\U0010ffff", "é"]),
-        st.characters(blacklist_categories=()),
-    ),
-    max_size=12,
+_JSON_CHARACTERS = st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00a0", "\u2028", "\u2029",
+                     "\ud800", "\udfff", "\U0001f600", "\U0010ffff", "é"]),
+    st.characters(blacklist_categories=()),
 )
+_JSON_TEXT = st.text(_JSON_CHARACTERS, max_size=12)
+#: The same without lone surrogates, which a UTF-8 file cannot hold.
+_UTF8_TEXT = st.text(_JSON_CHARACTERS.filter(lambda c: not "\ud800" <= c <= "\udfff"), max_size=12)
 
 
 @st.composite
-def _enriched_rows(draw):
+def _enriched_rows(draw, text=_JSON_TEXT,
+                   author_indices=st.one_of(st.integers(), st.sampled_from([-(10**20), 10**20, 2**63]))):
     """Resolutions that share a few outcomes, as a corpus's rows do."""
     outcomes = []
     for category in draw(st.lists(st.sampled_from(Category), min_size=1, max_size=6)):
         identified = category in ircmap.resolver._IDENTIFIED
         outcomes.append((
             category,
-            draw(_JSON_TEXT) if identified else None,
-            draw(_JSON_TEXT.filter(bool) if identified else _JSON_TEXT),
+            draw(text) if identified else None,
+            draw(text.filter(bool) if identified else text),
             draw(st.booleans()),
         ))
     rows = []
     for category, iso2, evidence, ambiguous in draw(st.lists(st.sampled_from(outcomes), min_size=1, max_size=20)):
         rows.append(Resolution(
-            paper_id=draw(_JSON_TEXT),
-            author_index=draw(st.one_of(st.integers(), st.sampled_from([-(10**20), 10**20, 2**63]))),
-            raw=draw(_JSON_TEXT),
+            paper_id=draw(text),
+            author_index=draw(author_indices),
+            raw=draw(text),
             category=category,
             iso2=iso2,
             evidence=evidence,
@@ -443,6 +457,24 @@ def test_enriched_line_equals_json_dumps(rows, cap):
             row["category"] = r.category.value
             assert _enriched_line(r, memo) == json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
             assert len(memo) <= cap
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_enriched_rows(text=_UTF8_TEXT, author_indices=st.integers(min_value=0)))
+def test_enriched_row_round_trips(tmp_path_factory, rows):
+    """``metrics`` reads back each written row's paper and country, and the line parses to the row."""
+    memo = {}
+    path = tmp_path_factory.mktemp("enriched") / "enriched.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        for r in rows:
+            handle.write(_enriched_line(r, memo))
+    assert list(cli_module._read_enriched(path)) == [MentionCountry(r.paper_id, r.iso2) for r in rows]
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == ""
+    for r, line in zip(rows, lines, strict=True):
+        obj = json.loads(line)
+        obj["category"] = Category(obj["category"])
+        assert Resolution(**obj) == r
 
 
 class TestMetrics:

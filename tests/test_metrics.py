@@ -34,33 +34,31 @@ def _record(paper_id, n_mentions, year=2000):
     )
 
 
-def _paper(paper_id, countries, year=2000, unresolved=0):
-    return PaperCountrySet(paper_id, year, frozenset(countries), unresolved)
+def _paper(paper_id, countries, year=2000):
+    return PaperCountrySet(paper_id, year, frozenset(countries))
 
 
 def _oracle_collapse(resolutions, records=None):
     """The dict-based collapse that read every record and resolution before
     returning; kept as the streaming merge-join's oracle."""
     years = {}
-    by_paper = {}  # paper id -> [country set, unresolved count]
+    by_paper = {}  # paper id -> country set
     for record in records or ():
         if record.paper_id in by_paper:
             raise ConsistencyError(f"duplicate paper id {record.paper_id!r} in records")
         years[record.paper_id] = record.year
-        by_paper[record.paper_id] = [set(), 0]
+        by_paper[record.paper_id] = set()
     for resolution in resolutions:
         paper = by_paper.get(resolution.paper_id)
         if paper is None:
             if records is not None:
                 raise ConsistencyError(f"resolution references unknown paper {resolution.paper_id!r}")
-            paper = by_paper[resolution.paper_id] = [set(), 0]
+            paper = by_paper[resolution.paper_id] = set()
         if resolution.iso2 is not None:
-            paper[0].add(resolution.iso2)
-        else:
-            paper[1] += 1
+            paper.add(resolution.iso2)
     return [
-        PaperCountrySet(paper_id, years.get(paper_id), frozenset(countries), unresolved)
-        for paper_id, (countries, unresolved) in by_paper.items()
+        PaperCountrySet(paper_id, years.get(paper_id), frozenset(countries))
+        for paper_id, countries in by_paper.items()
     ]
 
 
@@ -85,7 +83,6 @@ class TestCollapseToPapers:
         ]
         (paper,) = collapse_to_papers(resolutions, records)
         assert paper.countries == frozenset({"CA", "NZ"})
-        assert paper.unresolved_mentions == 0
 
     def test_unresolved_counted(self):
         records = [_record("p1", 2)]
@@ -95,11 +92,10 @@ class TestCollapseToPapers:
         ]
         (paper,) = collapse_to_papers(resolutions, records)
         assert paper.countries == frozenset({"US"})
-        assert paper.unresolved_mentions == 1
 
     def test_zero_mention_record_included(self):
         papers = list(collapse_to_papers([], [_record("p1", 0)]))
-        assert papers == [_paper("p1", set(), unresolved=0)]
+        assert papers == [_paper("p1", set())]
 
     def test_without_records_papers_in_first_appearance_order(self):
         resolutions = [
@@ -109,7 +105,7 @@ class TestCollapseToPapers:
             _resolution("p1", 1, "FR"),
         ]
         assert list(collapse_to_papers(resolutions)) == [
-            _paper("p2", {"CA"}, year=None, unresolved=1),
+            _paper("p2", {"CA"}, year=None),
             _paper("p1", {"NZ", "FR"}, year=None),
         ]
 
@@ -142,7 +138,6 @@ class TestCollapseToPapers:
             rows = grouped[record.paper_id]
             assert paper.paper_id == record.paper_id
             assert paper.countries == frozenset(r.iso2 for r in rows if r.iso2)
-            assert paper.unresolved_mentions == sum(1 for r in rows if r.iso2 is None)
 
 
     @settings(max_examples=200, deadline=None)
@@ -225,7 +220,7 @@ class TestComputeIrc:
         assert stats.irc_ratio == 1.0
 
     def test_single_country_many_mentions_is_domestic(self):
-        stats = compute_irc([_paper("p1", {"US"}, unresolved=0)])
+        stats = compute_irc([_paper("p1", {"US"})])
         assert stats.domestic == 1
         assert stats.international == 0
         assert stats.pair_counts == {}

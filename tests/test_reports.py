@@ -84,8 +84,8 @@ def _irc_stats(out_dir, papers):
 
 class TestWriteIrcStats:
     def test_json_document_schema(self, tmp_path):
-        papers = [PaperCountrySet("p1", 2015, frozenset({"CA", "NZ"}), 0),
-                  PaperCountrySet("p2", None, frozenset(), 1)]
+        papers = [PaperCountrySet("p1", 2015, frozenset({"CA", "NZ"})),
+                  PaperCountrySet("p2", None, frozenset())]
         _, doc = _irc_stats(tmp_path, papers)
         assert doc["schema_version"] == 1
         assert (doc["total_papers"], doc["international"], doc["unmeasurable"]) == (2, 1, 1)
@@ -98,7 +98,7 @@ class TestWriteIrcStats:
     @settings(max_examples=60, deadline=None)
     def test_csvs_equal_the_json_document(self, tmp_path_factory, draws):
         out_dir = tmp_path_factory.mktemp("irc")
-        papers = [PaperCountrySet(f"p{i}", year, countries, 0) for i, (year, countries) in enumerate(draws)]
+        papers = [PaperCountrySet(f"p{i}", year, countries) for i, (year, countries) in enumerate(draws)]
         counts, doc = _irc_stats(out_dir, papers)
         per_year = _read_csv(out_dir / "irc_per_year.csv")
         assert per_year[0] == ["year", "total", "international", "domestic", "unmeasurable", "irc_ratio"]

@@ -282,6 +282,21 @@ class TestResolve:
 
 
 class TestResolveCorpus:
+    @pytest.mark.parametrize(
+        "step, broken",
+        [
+            ("match_step1", lambda n, g: Outcome(Category.COUNTRY_NAME, None, "x", False)),
+            ("_step2", lambda misses, client, lookup=map: {
+                cleaned: Outcome(Category.WIKIDATA, "CA", "", False) for cleaned in misses}),
+        ],
+        ids=["step1", "step2"],
+    )
+    def test_every_outcome_is_checked(self, gazetteer, monkeypatch, step, broken):
+        """An outcome that breaks the rule, from either step, stops the run before its row is yielded."""
+        monkeypatch.setattr(resolver_module, step, broken)
+        with pytest.raises(ValueError):
+            list(resolve_corpus([_record("p1", ["Somewhere"])], gazetteer))
+
     def test_step1_hits_never_touch_the_client(self, gazetteer, make_replay_client):
         client, transport = make_replay_client()
         records = [
