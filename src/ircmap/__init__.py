@@ -46,7 +46,6 @@ from ircmap.wikidata import (
     Mode,
     RateLimiter,
     ReplayTransport,
-    SparqlQuery,
     TransportError,
     WikidataClient,
     build_sparql_query,
@@ -77,7 +76,6 @@ __all__ = [
     "RateLimiter",
     "ReplayTransport",
     "Resolution",
-    "SparqlQuery",
     "TransportError",
     "WikidataClient",
     "build_gazetteer",

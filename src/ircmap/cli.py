@@ -212,6 +212,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def _build_client(args: argparse.Namespace, gazetteer, data_dir: Path) -> WikidataClient:
     cache_path = Path(args.cache) if args.cache else default_cache_path()
+    if cache_path.exists() and not cache_path.is_file():
+        raise CliError(f"cache {cache_path} is not a file")
     if args.offline and not cache_path.is_file():
         raise CliError(f"offline mode requires an existing cache file: {cache_path}")
     cache = CacheStore(cache_path)

@@ -237,13 +237,12 @@ def _step2(misses: dict[str, str], client: Optional[WikidataClient], lookup=map)
             if entry.status is CacheStatus.ERROR:
                 notes[cleaned] = notes[cleaned] or entry.detail or "lookup error"
                 continue
-            labels = list(dict.fromkeys(entry.countries))
-            if len(labels) != 1:
+            if len(entry.countries) != 1:
                 continue  # empty result or a multi-country disambiguation
-            iso2 = client.label_map.get(labels[0])
+            iso2 = client.label_map.get(entry.countries[0])
             if iso2 is None:
-                notes[cleaned] = f"unmapped country label: {labels[0]}"
-                logger.warning("no ISO code for country label %r (fragment %r)", labels[0], fragment)
+                notes[cleaned] = f"unmapped country label: {entry.countries[0]}"
+                logger.warning("no ISO code for country label %r (fragment %r)", entry.countries[0], fragment)
                 continue
             outcomes[cleaned] = Outcome(Category.WIKIDATA, iso2, key, False)
         r += 1

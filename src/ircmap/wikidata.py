@@ -24,11 +24,10 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 from urllib.parse import quote, urlencode, urlsplit
 
 from ircmap.gazetteer import GazetteerError, _read_table
@@ -45,7 +44,6 @@ __all__ = [
     "RateLimiter",
     "ReplayTransport",
     "RequestsTransport",
-    "SparqlQuery",
     "TransportError",
     "TransportResponse",
     "WikidataClient",
@@ -83,20 +81,13 @@ class TransportError(Exception):
     """Network-level failure while talking to the endpoint."""
 
 
-@dataclass(frozen=True)
-class TransportResponse:
+class TransportResponse(NamedTuple):
     status_code: int
     text: str
 
 
-@dataclass(frozen=True)
-class SparqlQuery:
-    text: str
-    url_title: str
-
-
-def build_sparql_query(fragment: str) -> SparqlQuery:
-    """Fill the query template for one affiliation fragment.
+def build_sparql_query(fragment: str) -> str:
+    """The query text for one affiliation fragment: the template, filled.
 
     The Wikipedia title keeps the fragment's original casing (titles are
     case-sensitive after the first character); runs of whitespace become a
@@ -105,9 +96,7 @@ def build_sparql_query(fragment: str) -> SparqlQuery:
     fragment = fragment.strip()
     if not fragment:
         raise ValueError("empty affiliation fragment")
-    url_title = quote("_".join(fragment.split()), safe="")
-    text = QUERY_TEMPLATE.replace("[AFFILIATION]", url_title)
-    return SparqlQuery(text=text, url_title=url_title)
+    return QUERY_TEMPLATE.replace("[AFFILIATION]", quote("_".join(fragment.split()), safe=""))
 
 
 class CacheStatus(str, Enum):
@@ -116,9 +105,11 @@ class CacheStatus(str, Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    """One cached lookup: the countries found for a normalized fragment."""
+class CacheEntry(NamedTuple):
+    """One cached lookup: the countries found for a normalized fragment.
+
+    A ``hit`` has countries and any other status none; only :meth:`from_json` checks this.
+    """
 
     key: str
     countries: tuple[str, ...]
@@ -126,28 +117,12 @@ class CacheEntry:
     retrieved_at: str  # ISO-8601, UTC
     detail: str = ""
 
-    def __post_init__(self):
-        if self.status is CacheStatus.HIT and not self.countries:
-            raise ValueError("hit entries need at least one country")
-        if self.status is not CacheStatus.HIT and self.countries:
-            raise ValueError(f"{self.status.value} entries must not carry countries")
-
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "key": self.key,
-                "countries": list(self.countries),
-                "status": self.status.value,
-                "retrieved_at": self.retrieved_at,
-                "detail": self.detail,
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        )
+        return json.dumps(self._asdict(), ensure_ascii=False, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "CacheEntry":
-        """Parse one cache line; raises ValueError if it is JSON but not an entry."""
+        """Parse one cache line, countries made distinct; ValueError if it is JSON but not an entry."""
         obj = json.loads(line)
         if not isinstance(obj, dict):
             raise ValueError("not a JSON object")
@@ -157,7 +132,10 @@ class CacheEntry:
             isinstance(text, str) for text in (key, retrieved_at, detail, *countries)
         ):
             raise ValueError("a field is missing or has the wrong type")
-        return cls(key, tuple(countries), CacheStatus(obj["status"]), retrieved_at, detail)
+        status = CacheStatus(obj["status"])
+        if (status is CacheStatus.HIT) != bool(countries):
+            raise ValueError("a hit needs countries and no other status may have any")
+        return cls(key, tuple(dict.fromkeys(countries)), status, retrieved_at, detail)
 
 
 def _utc_now() -> datetime:
@@ -322,14 +300,23 @@ class ReplayTransport:
 
 
 def _parse_country_labels(body: str) -> tuple[str, ...]:
-    """Ordered, de-duplicated ?countryLabel bindings from a SPARQL JSON body."""
-    data = json.loads(body)
-    bindings = data["results"]["bindings"]
-    labels = []
+    """Distinct ?countryLabel values, in order, from a SPARQL JSON body.
+
+    A body that is JSON but not such a result raises KeyError or TypeError.
+    """
+    bindings = json.loads(body)["results"]["bindings"]
+    if not isinstance(bindings, list):
+        raise TypeError("bindings is not a list")
+    labels: dict[str, None] = {}
     for binding in bindings:
-        value = binding.get("countryLabel", {}).get("value")
-        if value and value not in labels:
-            labels.append(value)
+        label = binding.get("countryLabel", {}) if isinstance(binding, dict) else None
+        if not isinstance(label, dict):
+            raise TypeError("a binding or its countryLabel is not an object")
+        value = label.get("value")
+        if value and not isinstance(value, str):
+            raise TypeError("a countryLabel value is not a string")
+        if value:
+            labels[value] = None
     return tuple(labels)
 
 
@@ -435,9 +422,7 @@ class WikidataClient:
                 self._sleep(self.backoff_base * 2 ** (attempt - 2))
             self.rate_limiter.acquire()
             try:
-                response = self.transport.get(
-                    self.endpoint, params={"query": query.text}, headers=self.headers
-                )
+                response = self.transport.get(self.endpoint, params={"query": query}, headers=self.headers)
             except TransportError as exc:
                 last_error = f"transport error: {exc}"
                 continue

@@ -126,7 +126,7 @@ def test_mcgill_golden_path(gazetteer, label_map):
     query = build_sparql_query("McGill University")
     golden = QUERY_TEMPLATE_FILE.read_text(encoding="utf-8")
     expected = golden.replace("[AFFILIATION]", "McGill_University")
-    assert " ".join(query.text.split()) == " ".join(expected.split())
+    assert " ".join(query.split()) == " ".join(expected.split())
 
     client = WikidataClient(
         cache=CacheStore(), label_map=label_map,

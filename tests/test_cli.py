@@ -247,6 +247,31 @@ class TestResolve:
         assert rc == 1
         assert not (out / "enriched.jsonl").exists()
 
+    def test_cache_that_is_not_a_file_is_user_error_before_any_lookup(self, tmp_path, monkeypatch, capsys,
+                                                                      caplog):
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", "McGill University"])])
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        cache.mkdir()
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _CountingEndpoint)
+        server.requests = 0
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        try:
+            rc = main(["resolve", "--input", str(corpus), "--output", str(out), "--cache", str(cache),
+                       "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/sparql", "--jobs", "1"])
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(5)
+        assert not thread.is_alive()
+        assert rc == 1
+        assert capsys.readouterr().err == f"ircmap: error: cache {cache} is not a file\n"
+        assert "Traceback" not in caplog.text
+        assert server.requests == 0
+        assert not any(out.iterdir())
+        assert not any(cache.iterdir())
+
     def test_enriched_schema_and_csv(self, tmp_path, warm_cache):
         corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Lisbon, Portugal"])])
         out = tmp_path / "out"
@@ -982,6 +1007,21 @@ def test_output_naming_a_file_is_user_error(corpus_20, tmp_path, capsys, caplog,
     assert capsys.readouterr().err == f"ircmap: error: --output {taken} is not a directory\n"
     assert "Traceback" not in caplog.text
     assert taken.read_bytes() == b"not a directory\n"
+
+
+class _CountingEndpoint(BaseHTTPRequestHandler):
+    """Answers every GET with one Canada binding and counts the requests."""
+
+    def do_GET(self):  # noqa: N802 (http.server naming)
+        self.server.requests += 1
+        data = b'{"results": {"bindings": [{"countryLabel": {"value": "Canada"}}]}}'
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
 
 
 class _HeldEndpoint(BaseHTTPRequestHandler):

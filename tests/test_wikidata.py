@@ -10,9 +10,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ircmap.gazetteer import GazetteerError
-from ircmap.ingest import token_key
+from ircmap.ingest import AffiliationMention, BibRecord, token_key
+from ircmap.resolver import Category, resolve_corpus
 from ircmap.wikidata import (
     CacheEntry,
     CacheStatus,
@@ -41,33 +44,43 @@ def _ws(text: str) -> str:
     return " ".join(text.split())
 
 
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@st.composite
+def _valid_entries(draw):
+    """A cache entry that keeps the status rule: countries, distinct, exactly for a hit."""
+    status = draw(st.sampled_from(CacheStatus))
+    countries = draw(st.lists(_TEXT, min_size=1, max_size=3, unique=True)) if status is CacheStatus.HIT else []
+    return CacheEntry(draw(_TEXT), tuple(countries), status, draw(_TEXT), draw(_TEXT))
+
+
 class TestBuildSparqlQuery:
     def test_mcgill_matches_golden_template(self):
         query = build_sparql_query("McGill University")
         golden = QUERY_TEMPLATE_FILE.read_text(encoding="utf-8")
         expected = golden.replace("[AFFILIATION]", "McGill_University")
-        assert _ws(query.text) == _ws(expected)
-        assert query.url_title == "McGill_University"
+        assert _ws(query) == _ws(expected)
+        assert "<https://en.wikipedia.org/wiki/McGill_University>" in query
 
     def test_contains_select_and_subject_iri_once(self):
         query = build_sparql_query("McGill University")
-        assert query.text.count("SELECT ?countryLabel WHERE") == 1
+        assert query.count("SELECT ?countryLabel WHERE") == 1
         iri = "https://en.wikipedia.org/wiki/McGill_University"
-        assert query.text.count(iri) == 1
+        assert query.count(iri) == 1
 
     def test_single_token_unchanged(self):
-        assert build_sparql_query("MIT").url_title == "MIT"
+        assert "<https://en.wikipedia.org/wiki/MIT>" in build_sparql_query("MIT")
 
     def test_reserved_characters_percent_encoded(self):
         query = build_sparql_query("AT&T Labs")
-        assert query.url_title == "AT%26T_Labs"
-        assert "<https://en.wikipedia.org/wiki/AT%26T_Labs>" in query.text
+        assert "<https://en.wikipedia.org/wiki/AT%26T_Labs>" in query
 
     def test_casing_preserved(self):
-        assert build_sparql_query("University of oxford").url_title == "University_of_oxford"
+        assert "<https://en.wikipedia.org/wiki/University_of_oxford>" in build_sparql_query("University of oxford")
 
     def test_whitespace_runs_collapse(self):
-        assert build_sparql_query("  McGill   University ").url_title == "McGill_University"
+        assert "<https://en.wikipedia.org/wiki/McGill_University>" in build_sparql_query("  McGill   University ")
 
     def test_empty_fragment_rejected(self):
         with pytest.raises(ValueError):
@@ -109,12 +122,6 @@ class TestCacheStore:
         store.put(self._entry(at=old))
         assert store.get("k") is not None
 
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            CacheEntry("k", (), CacheStatus.HIT, "2024-01-01T00:00:00+00:00")
-        with pytest.raises(ValueError):
-            CacheEntry("k", ("Canada",), CacheStatus.EMPTY, "2024-01-01T00:00:00+00:00")
-
     def test_bad_cache_lines_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text('not json\n' + self._entry().to_json() + "\n", encoding="utf-8")
@@ -132,9 +139,13 @@ class TestCacheStore:
             '{"key": "k", "countries": ["Canada", 5], "status": "hit", "retrieved_at": "2024-01-01T00:00:00+00:00"}',
             '{"key": "k", "countries": [], "status": "empty", "retrieved_at": "2024-01-01T00:00:00+00:00", "detail": 7}',
             '{"key": "k", "countries": [], "status": ["empty"], "retrieved_at": "2024-01-01T00:00:00+00:00"}',
+            '{"key": "k", "countries": [], "status": "hit", "retrieved_at": "2024-01-01T00:00:00+00:00"}',
+            '{"key": "k", "countries": ["Canada"], "status": "empty", "retrieved_at": "2024-01-01T00:00:00+00:00"}',
+            '{"key": "k", "countries": ["Canada"], "status": "error", "retrieved_at": "2024-01-01T00:00:00+00:00"}',
         ],
         ids=["list", "string", "number", "numeric-countries", "list-key", "numeric-retrieved-at",
-             "numeric-country", "numeric-detail", "list-status"],
+             "numeric-country", "numeric-detail", "list-status", "hit-without-countries",
+             "empty-with-countries", "error-with-countries"],
     )
     def test_json_line_that_is_not_an_entry_skipped(self, tmp_path, caplog, line):
         path = tmp_path / "cache.jsonl"
@@ -146,6 +157,29 @@ class TestCacheStore:
         assert store.get("good") == good
         assert store.get("k") is None
         assert "cache.jsonl:1: skipping bad cache line" in caplog.text
+
+    @given(entry=_valid_entries())
+    @example(entry=CacheEntry("université de montréal", ("Canada", "Curaçao"), CacheStatus.HIT, "2024-01-01"))
+    @example(entry=CacheEntry("東京大学", (), CacheStatus.ERROR, "2024-01-01", "réponse: «503»"))
+    def test_cache_line_bytes_kept(self, entry):
+        spelled_out = json.dumps(
+            {"key": entry.key, "countries": list(entry.countries), "status": entry.status.value,
+             "retrieved_at": entry.retrieved_at, "detail": entry.detail},
+            ensure_ascii=False, sort_keys=True,
+        )
+        assert entry.to_json() == spelled_out
+        assert CacheEntry.from_json(entry.to_json()) == entry
+
+    def test_repeated_country_in_a_cache_line_answers_once(self, tmp_path, gazetteer, label_map):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"key": "mcgill university", "countries": ["Canada", "Canada"], "status": "hit", '
+                        '"retrieved_at": "2024-01-01T00:00:00+00:00"}\n', encoding="utf-8")
+        client = WikidataClient(
+            cache=CacheStore(path), label_map=label_map, mode=Mode.OFFLINE, transport=FailingTransport()
+        )
+        record = BibRecord("p", mentions=(AffiliationMention("p", 0, "McGill University"),))
+        (row,) = resolve_corpus([record], gazetteer, client)
+        assert (row.category, row.iso2) == (Category.WIKIDATA, "CA")
 
     def test_torn_last_line_does_not_swallow_next_put(self, tmp_path, label_map):
         # A run killed mid-append leaves the last line cut short, without "\n".
@@ -347,11 +381,37 @@ class TestQueryCountry:
         assert "malformed" in entry.detail
         assert client.cache.get(entry.key) is None
 
+    @pytest.mark.parametrize(
+        "bindings",
+        ["[1]", "[null]", '[{"countryLabel": "Canada"}]', '[{"countryLabel": null}]',
+         '[{"countryLabel": {"value": 5}}]', '{"countryLabel": {"value": "Canada"}}', '"Canada"'],
+        ids=["number", "null", "string-label", "null-label", "numeric-value", "object-bindings",
+             "string-bindings"],
+    )
+    def test_body_that_is_not_a_label_result_is_malformed(self, tmp_path, gazetteer, label_map, bindings):
+        body = '{"results": {"bindings": %s}}' % bindings
+        path = tmp_path / "cache.jsonl"
+        transport = ScriptedTransport([TransportResponse(200, body)] * 2)
+        client = WikidataClient(
+            cache=CacheStore(path), label_map=label_map, transport=transport,
+            rate_limit=0.0, max_attempts=1, sleep=lambda s: None,
+        )
+        entry = client.query_country("McGill University")
+        assert (entry.status, entry.countries) == (CacheStatus.ERROR, ())
+        assert entry.detail.startswith("malformed response: ")
+        record = BibRecord("p", mentions=(AffiliationMention("p", 0, "McGill University"),))
+        (row,) = resolve_corpus([record], gazetteer, client)
+        assert (row.category, row.iso2) == (Category.UNIDENTIFIED, None)
+        assert row.evidence.startswith("malformed response: ")
+        assert transport.calls == 2
+        assert not path.exists()
+        assert client.cache.get(entry.key) is None
+
     def test_replay_transport_rejects_unknown_title(self):
         transport = ReplayTransport(REPLAY_DIR)
         query = build_sparql_query("Nowhere Institute Zzz")
         with pytest.raises(TransportError):
-            transport.get("http://endpoint", {"query": query.text}, {})
+            transport.get("http://endpoint", {"query": query}, {})
 
     def test_duplicate_labels_deduplicated(self, label_map):
         body = json.dumps(
@@ -461,7 +521,7 @@ class TestRequestsTransportLoopback:
         ((path, headers),) = endpoint.seen
         parts = urlsplit(path)
         assert parts.path == "/sparql"
-        assert parse_qs(parts.query) == {"query": [build_sparql_query("AT&T Labs  Montréal").text]}
+        assert parse_qs(parts.query) == {"query": [build_sparql_query("AT&T Labs  Montréal")]}
         assert headers["User-Agent"] == "ircmap-tests/1 (loopback)"
         assert headers["Accept"] == "application/sparql-results+json"
 
