@@ -42,6 +42,7 @@ from ircmap.wikidata import (
     CacheEntry,
     CacheStatus,
     CacheStore,
+    EndpointRefused,
     LabelMap,
     Mode,
     RateLimiter,
@@ -61,6 +62,7 @@ __all__ = [
     "CacheStore",
     "Category",
     "DedupIndex",
+    "EndpointRefused",
     "Format",
     "FosFilter",
     "Gazetteer",

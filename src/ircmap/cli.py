@@ -39,6 +39,7 @@ from ircmap.wikidata import (
     DEFAULT_ENDPOINT,
     ENDPOINT_ENV_VAR,
     CacheStore,
+    EndpointRefused,
     LabelMap,
     Mode,
     WikidataClient,
@@ -216,7 +217,10 @@ def _build_client(args: argparse.Namespace, gazetteer, data_dir: Path) -> Wikida
         raise CliError(f"cache {cache_path} is not a file")
     if args.offline and not cache_path.is_file():
         raise CliError(f"offline mode requires an existing cache file: {cache_path}")
-    cache = CacheStore(cache_path)
+    try:
+        cache = CacheStore(cache_path)
+    except OSError as exc:  # a parent that is a file, or a file that cannot be read
+        raise CliError(f"cannot use cache {cache_path}: {exc}") from None
     label_map = LabelMap.from_gazetteer(gazetteer, data_dir / LABELS_FILE)
     try:
         return WikidataClient(
@@ -426,7 +430,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.subcommand](args)
-    except (CliError, ConsistencyError, GazetteerError, IngestError) as exc:
+    except (CliError, ConsistencyError, EndpointRefused, GazetteerError, IngestError) as exc:
         print(f"ircmap: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # unexpected: still fail cleanly with a message

@@ -17,8 +17,8 @@ Three input formats are supported:
   string or null; a string that is not an integer, and any year outside
   ``YEAR_MIN..YEAR_MAX``, is unknown.  ``fos`` is null, a ``|``-separated
   string or a list of strings, and ``authors`` null or a list of objects or
-  empty entries.  Any other type, and a fractional, infinite or NaN year,
-  skips the record.
+  empty entries.  Any other type, a fractional, infinite or NaN year, and
+  an escaped lone surrogate in a text the record keeps skip the record.
   An author's optional ``"author_index"`` defaults to its position in
   ``authors``; one that is not a non-negative integer, or repeats within
   the record, skips the record.  :func:`record_line` writes this schema.
@@ -234,10 +234,10 @@ def parse_records(
     author index that is not a non-negative integer, the wrong column count
     or bad JSON; if it is JSONL that breaks the module docstring's schema (a
     field of another type, a repeated ``author_index``, a fractional,
-    infinite or NaN year); or if it repeats a paper id already yielded, or
-    an author index within a row-format record.  A file opened from a path
-    is closed once the stream is exhausted or closed; a caller's stream,
-    text or binary, is left open.
+    infinite or NaN year, a lone surrogate); or if it repeats a paper id
+    already yielded, or an author index within a row-format record.  A file
+    opened from a path is closed once the stream is exhausted or closed; a
+    caller's stream, text or binary, is left open.
 
     Each reader keeps its own memo from FOS term to key, so a term repeated
     across records is normalized once.  The memo holds at most
@@ -352,7 +352,7 @@ def _json_record(line: str, fos_memo: dict[str, str]) -> BibRecord:
         mentions.append(AffiliationMention(paper_id, author_index, _optional_text(author, "affiliation")))
     if len({m.author_index for m in mentions}) < len(mentions):
         raise ValueError("repeated author_index")
-    return BibRecord(
+    record = BibRecord(
         paper_id=paper_id,
         title=_optional_text(obj, "title"),
         year=_parse_year(obj.get("year")),
@@ -360,6 +360,12 @@ def _json_record(line: str, fos_memo: dict[str, str]) -> BibRecord:
         mentions=tuple(mentions),
         doi=_optional_text(obj, "doi").strip() or None,
     )
+    if "\\u" in line:  # only an escape can give a lone surrogate, which no output can encode
+        fos = obj.get("fos") or ()
+        kept = (paper_id, record.title, record.doi or "", *(m.raw for m in mentions),
+                *([fos] if isinstance(fos, str) else fos))
+        "".join(kept).encode("utf-8")  # a UnicodeEncodeError is a ValueError
+    return record
 
 
 def record_line(record: BibRecord) -> str:

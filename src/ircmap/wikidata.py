@@ -9,10 +9,10 @@ kept verbatim.
 
 The client is shared state: one rate limiter and an append-only JSON-lines
 cache (last entry per key wins on load) that makes offline replay possible.
-The cache applies no policy; the client decides what an entry answers:
-offline, every entry answers as recorded, however old, and expiry only decides
-whether an online run asks again.  An online client rejects an unusable
-endpoint URL when it is built.
+The file keeps only what the endpoint said about a title; a failed lookup is
+remembered for the run alone.  Any entry held answers, however old.  An
+online client rejects an unusable endpoint URL when it is built, and stops
+after ``MAX_REFUSALS`` refusals in a row.
 Lookups are not coalesced; the resolver never overlaps two of one key.
 """
 
@@ -24,7 +24,7 @@ import os
 import re
 import threading
 import time
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -38,6 +38,7 @@ __all__ = [
     "CacheStatus",
     "CacheStore",
     "DEFAULT_ENDPOINT",
+    "EndpointRefused",
     "LabelMap",
     "Mode",
     "QUERY_TEMPLATE",
@@ -57,7 +58,12 @@ ENDPOINT_ENV_VAR = "IRC_SPARQL_ENDPOINT"
 CACHE_DIR_ENV_VAR = "IRC_CACHE_DIR"
 USER_AGENT_ENV_VAR = "IRC_USER_AGENT"
 
-ERROR_TTL = timedelta(hours=24)
+#: First wait between attempts of one lookup, doubled after each attempt.
+BACKOFF_BASE_S = 1.0
+#: The longest ``Retry-After`` the client waits for before its next attempt.
+MAX_RETRY_AFTER_S = 60.0
+#: Refusals in a row (a 403, or a 429 still refused at the last attempt) that stop a run.
+MAX_REFUSALS = 5
 
 QUERY_TEMPLATE = """\
 PREFIX schema: <http://schema.org/>
@@ -81,9 +87,14 @@ class TransportError(Exception):
     """Network-level failure while talking to the endpoint."""
 
 
+class EndpointRefused(Exception):
+    """The endpoint refused ``MAX_REFUSALS`` lookups in a row; the run should stop."""
+
+
 class TransportResponse(NamedTuple):
     status_code: int
     text: str
+    retry_after: Optional[float] = None  # seconds, from a ``Retry-After`` header
 
 
 def build_sparql_query(fragment: str) -> str:
@@ -143,7 +154,12 @@ def _utc_now() -> datetime:
 
 
 class CacheStore:
-    """Append-only JSON-lines cache, last entry per key wins; it keeps no clock and expires nothing."""
+    """Append-only JSON-lines cache, last entry per key wins; it keeps no clock.
+
+    Every entry put is kept in memory, but only a ``hit`` or an ``empty`` is
+    written; ``error`` lines that older versions wrote are skipped on load.
+    Given a path, it creates the parent directory, or raises ``OSError``.
+    """
 
     def __init__(self, path: Optional[Path | str] = None):
         self.path = Path(path) if path is not None else None
@@ -152,10 +168,13 @@ class CacheStore:
         # A run killed mid-append leaves a last line without its newline; the
         # next put starts a fresh line so its entry is not glued onto it.
         self._torn_tail = False
-        if self.path is not None and self.path.is_file():
-            self._load()
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self.path.is_file():
+                self._load()
 
     def _load(self) -> None:
+        errors = 0
         with open(self.path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 self._torn_tail = not raw.endswith("\n")
@@ -167,7 +186,12 @@ class CacheStore:
                 except (json.JSONDecodeError, KeyError, ValueError) as exc:
                     logger.warning("%s:%d: skipping bad cache line (%s)", self.path, lineno, exc)
                     continue
-                self._entries[entry.key] = entry
+                if entry.status is CacheStatus.ERROR:
+                    errors += 1
+                else:
+                    self._entries[entry.key] = entry
+        if errors:
+            logger.warning("%s: skipped %d error lines; an online run asks for them again", self.path, errors)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -179,8 +203,7 @@ class CacheStore:
     def put(self, entry: CacheEntry) -> None:
         with self._lock:
             self._entries[entry.key] = entry
-            if self.path is not None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self.path is not None and entry.status is not CacheStatus.ERROR:
                 with open(self.path, "a", encoding="utf-8") as handle:
                     handle.write(("\n" if self._torn_tail else "") + entry.to_json() + "\n")
                 self._torn_tail = False
@@ -252,8 +275,11 @@ class RequestsTransport:
     """HTTP GET against a live SPARQL endpoint, with ``urllib.request``.
 
     An HTTP error status comes back as a response, for the client to retry or
-    not; getting no response at all raises :class:`TransportError`.  The HTTP
-    modules are imported on first use, so offline runs never load them.
+    not; getting no response at all raises :class:`TransportError`.  A
+    ``Retry-After`` header that is a whole number of seconds becomes
+    ``retry_after``; the HTTP-date form RFC 9110 also allows is read as
+    absent.  The HTTP modules are imported on first use, so offline runs
+    never load them.
     """
 
     def __init__(self, timeout: float = 30.0):
@@ -271,7 +297,9 @@ class RequestsTransport:
             except urllib.error.HTTPError as exc:
                 response = exc  # an error status still comes with a readable body
             with response:
-                return TransportResponse(response.status, response.read().decode("utf-8", "replace"))
+                after = (response.headers.get("Retry-After") or "").strip()
+                seconds = float(after) if after.isascii() and after.isdigit() else None
+                return TransportResponse(response.status, response.read().decode("utf-8", "replace"), seconds)
         except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(str(exc)) from exc
 
@@ -336,7 +364,8 @@ class WikidataClient:
     operations at all.  Online, an endpoint URL without an http(s) scheme, a
     host or a valid port, or with whitespace or a control character in it,
     raises ``ValueError`` here.  Lookups are not coalesced: two concurrent
-    lookups of one normalized fragment each send a request.
+    lookups of one normalized fragment each send a request.  Pool threads
+    share one count of refusals in a row, kept under the client's lock.
     """
 
     def __init__(
@@ -349,7 +378,6 @@ class WikidataClient:
         rate_limit: float = 2.0,
         user_agent: Optional[str] = None,
         max_attempts: int = 5,
-        backoff_base: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -373,53 +401,54 @@ class WikidataClient:
             "Accept": "application/sparql-results+json",
         }
         self.max_attempts = max(1, max_attempts)
-        self.backoff_base = backoff_base
         self._sleep = sleep
+        self._lock = threading.Lock()
+        self._refusals, self._last_refusal = 0, ""  # the count stays at MAX_REFUSALS once there
 
     def query_country(self, fragment: str) -> CacheEntry:
         """Country labels for one fragment, from cache or the endpoint.
 
-        Offline, every cached entry answers as recorded, however old, and a
-        miss returns an (uncached) ``offline-miss`` error entry.  Online, an
-        error entry older than ``ERROR_TTL`` is asked again.  HTTP 429/5xx
-        responses are retried with exponential backoff; every answer but a
-        malformed body is cached, HTTP and transport errors as error entries.
+        Any cached entry answers, online or offline.  An offline miss gives an
+        uncached ``offline-miss`` error; an online miss is fetched (HTTP 429
+        and 5xx retried with backoff) and put in the cache, which writes only
+        answers.  After ``MAX_REFUSALS`` refusals in a row, every online miss
+        raises :class:`EndpointRefused`.
         """
         key = token_key(fragment)
         if not key:
             raise ValueError("empty affiliation fragment")
         entry = self.cache.get(key)
-        if entry is not None and (self.mode is Mode.OFFLINE or not self._expired(entry)):
+        if entry is not None:
             return entry
         if self.mode is Mode.OFFLINE:
             return self._error(key, "offline-miss")
-        entry, cacheable = self._fetch(key, fragment)
-        if cacheable:
-            self.cache.put(entry)
+        self._count_refusal(None)  # raises if refusals already stopped the run
+        entry = self._fetch(key, fragment)
+        self.cache.put(entry)
+        self._count_refusal(entry)
         return entry
 
-    def _expired(self, entry: CacheEntry) -> bool:
-        """Whether ``entry`` is an error older than ``ERROR_TTL`` or stamped with no readable time."""
-        if entry.status is not CacheStatus.ERROR:
-            return False
-        try:
-            retrieved = datetime.fromisoformat(entry.retrieved_at)
-        except ValueError:
-            return True
-        if retrieved.tzinfo is None:
-            retrieved = retrieved.replace(tzinfo=timezone.utc)
-        return _utc_now() - retrieved > ERROR_TTL
+    def _count_refusal(self, entry: Optional[CacheEntry]) -> None:
+        """Count ``entry`` as a refusal (403, exhausted 429) or reset the count; raise at ``MAX_REFUSALS``."""
+        with self._lock:
+            if entry is not None and self._refusals < MAX_REFUSALS:
+                self._refusals = self._refusals + 1 if entry.detail in ("http 403", "http 429") else 0
+                self._last_refusal = entry.detail
+            if self._refusals >= MAX_REFUSALS:
+                raise EndpointRefused(f"the SPARQL endpoint refused {MAX_REFUSALS} lookups in a row, "
+                                      f"the last with {self._last_refusal}; the answers so far are cached")
 
     def _error(self, key: str, detail: str) -> CacheEntry:
         return CacheEntry(key, (), CacheStatus.ERROR, _utc_now().isoformat(), detail)
 
-    def _fetch(self, key: str, fragment: str) -> tuple[CacheEntry, bool]:
-        """The endpoint's answer for ``key`` and whether to cache it: all but a malformed body are."""
+    def _fetch(self, key: str, fragment: str) -> CacheEntry:
+        """The endpoint's answer for ``key``, or an error entry naming the last failure."""
         query = build_sparql_query(fragment)
-        last_error = ""
-        for attempt in range(1, self.max_attempts + 1):
-            if attempt > 1:
-                self._sleep(self.backoff_base * 2 ** (attempt - 2))
+        last_error, wait = "", 0.0
+        for attempt in range(self.max_attempts):
+            if attempt:
+                self._sleep(wait)
+            wait = BACKOFF_BASE_S * 2 ** attempt
             self.rate_limiter.acquire()
             try:
                 response = self.transport.get(self.endpoint, params={"query": query}, headers=self.headers)
@@ -430,10 +459,12 @@ class WikidataClient:
                 try:
                     labels = _parse_country_labels(response.text)
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    return self._error(key, f"malformed response: {exc}"), False
+                    return self._error(key, f"malformed response: {exc}")
                 status = CacheStatus.HIT if labels else CacheStatus.EMPTY
-                return CacheEntry(key, labels, status, _utc_now().isoformat()), True
+                return CacheEntry(key, labels, status, _utc_now().isoformat())
             last_error = f"http {response.status_code}"
             if response.status_code != 429 and response.status_code < 500:
                 break
-        return self._error(key, last_error), True
+            if response.retry_after is not None:
+                wait = max(wait, min(response.retry_after, MAX_RETRY_AFTER_S))
+        return self._error(key, last_error)

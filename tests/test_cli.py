@@ -253,24 +253,50 @@ class TestResolve:
         corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", "McGill University"])])
         out, cache = tmp_path / "out", tmp_path / "cache"
         cache.mkdir()
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _CountingEndpoint)
-        server.requests = 0
-        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-        thread.start()
-        try:
-            rc = main(["resolve", "--input", str(corpus), "--output", str(out), "--cache", str(cache),
-                       "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/sparql", "--jobs", "1"])
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(5)
-        assert not thread.is_alive()
+        rc, requests = _resolve_online(_CountingEndpoint, ["--input", str(corpus), "--output", str(out),
+                                                           "--cache", str(cache), "--jobs", "1"])
         assert rc == 1
         assert capsys.readouterr().err == f"ircmap: error: cache {cache} is not a file\n"
         assert "Traceback" not in caplog.text
-        assert server.requests == 0
+        assert requests == 0
         assert not any(out.iterdir())
         assert not any(cache.iterdir())
+
+    @pytest.mark.parametrize("below", ["c.jsonl", "a/c.jsonl"])
+    def test_cache_under_a_regular_file_is_user_error_before_any_lookup(self, tmp_path, monkeypatch, capsys,
+                                                                        caplog, below):
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", "McGill University"])])
+        (tmp_path / "afile").write_text("x", encoding="utf-8")
+        out, cache = tmp_path / "out", tmp_path / "afile" / below
+        rc, requests = _resolve_online(_CountingEndpoint, ["--input", str(corpus), "--output", str(out),
+                                                           "--cache", str(cache), "--jobs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"ircmap: error: cannot use cache {cache}: ")
+        assert "Traceback" not in caplog.text
+        assert requests == 0
+        assert not any(out.iterdir())
+
+    def test_endpoint_that_refuses_every_lookup_stops_the_run(self, tmp_path, monkeypatch, capsys, caplog):
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        names = [f"Quux Institute {word}" for word in ("Alpha", "Bravo", "Delta", "Echo", "Foxtrot", "Golf", "Hotel")]
+        corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", *names])])
+        out, cache = tmp_path / "out", tmp_path / "cache.jsonl"
+        out.mkdir()
+        (out / "earlier.txt").write_text("kept", encoding="utf-8")
+        before = _snapshot(out)
+        rc, requests = _resolve_online(_RefusingEndpoint, ["--input", str(corpus), "--output", str(out),
+                                                           "--cache", str(cache), "--jobs", "1",
+                                                           "--rate-limit", "1000"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "ircmap: error: the SPARQL endpoint refused 5 lookups in a row, the last with http 403; "
+            "the answers so far are cached\n"
+        )
+        assert "Traceback" not in caplog.text
+        assert requests == 5
+        assert _snapshot(out) == before
+        assert not cache.exists()
 
     def test_enriched_schema_and_csv(self, tmp_path, warm_cache):
         corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Lisbon, Portugal"])])
@@ -372,6 +398,31 @@ class TestResolve:
             ("p1", "", "NullLike"),
         ]
         assert "skipped 1 malformed or duplicate rows" in caplog.text
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [("paper_id", "p\\ud800"), ("title", "T \\udc00"), ("doi", "10.1/\\ud800"),
+         ("affiliation", "Inst \\ud800 X"), ("fos", "ai \\ud800")],
+    )
+    def test_escaped_lone_surrogate_skips_its_record(self, tmp_path, warm_cache, caplog, field, text):
+        bad = _paper("bad", ["Paris, France", "Oslo, Norway"])
+        if field == "affiliation":
+            bad["authors"][0]["affiliation"] = "@"
+        else:
+            bad[field] = ["@"] if field == "fos" else "@"
+        good = _paper("good", ["Smile \U0001F600 Lab, Lund, Sweden", "Oslo, Norway"], title="Smile \U0001F600")
+        corpus = tmp_path / "c.jsonl"
+        lines = [json.dumps(bad).replace('"@"', f'"{text}"'), json.dumps(good)]  # ASCII: the emoji is an escaped pair
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for stage, extra in (("prepare", []), ("resolve", ["--cache", str(warm_cache), "--offline"])):
+            out = tmp_path / stage
+            assert main([stage, "--input", str(corpus), "--output", str(out), *extra]) == 0
+            assert f"{corpus}: skipped 1 malformed or duplicate rows" in caplog.text
+            caplog.clear()
+        (record,) = (tmp_path / "prepare" / "prepared.jsonl").read_text(encoding="utf-8").splitlines()
+        assert json.loads(record)["title"] == "Smile \U0001F600"
+        rows = (tmp_path / "resolve" / "enriched.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(row)["paper_id"] for row in rows] == ["good", "good"]
 
     def test_duplicate_paper_id_keeps_first_record(self, tmp_path, warm_cache, caplog):
         corpus = _write_jsonl(
@@ -723,12 +774,13 @@ class TestEnvironment:
         for hours in (1, 30):
             cache, out = tmp_path / f"cache{hours}.jsonl", tmp_path / f"out{hours}"
             at = datetime.now(timezone.utc) - timedelta(hours=hours)
-            CacheStore(cache).put(CacheEntry("mcgill university", (), CacheStatus.ERROR, at.isoformat(), "http 503"))
+            error = CacheEntry("mcgill university", (), CacheStatus.ERROR, at.isoformat(), "http 503")
+            cache.write_text(error.to_json() + "\n", encoding="utf-8")  # as older versions wrote it
             assert main(["resolve", "--input", str(corpus), "--output", str(out),
                          "--cache", str(cache), "--offline"]) == 0
             enriched.append((out / "enriched.jsonl").read_bytes())
         assert enriched[0] == enriched[1]
-        assert json.loads(enriched[0].splitlines()[1])["evidence"] == "http 503"
+        assert json.loads(enriched[0].splitlines()[1])["evidence"] == "offline-miss"
 
     def test_cache_dir_env_var_used_by_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("IRC_CACHE_DIR", str(tmp_path / "cachedir"))
@@ -1022,6 +1074,35 @@ class _CountingEndpoint(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):  # noqa: A002
         pass
+
+
+class _RefusingEndpoint(BaseHTTPRequestHandler):
+    """Answers every GET with 403 Forbidden and counts the requests."""
+
+    def do_GET(self):  # noqa: N802 (http.server naming)
+        self.server.requests += 1
+        self.send_response(403)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+
+def _resolve_online(handler, argv) -> tuple[int, int]:
+    """``resolve`` against a loopback endpoint served by ``handler``: the exit code and the requests it saw."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.requests = 0
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        rc = main(["resolve", *argv, "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/sparql"])
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(5)
+    assert not thread.is_alive()
+    return rc, server.requests
 
 
 class _HeldEndpoint(BaseHTTPRequestHandler):

@@ -454,9 +454,9 @@ class TestResolveCorpus:
         first = list(resolve_corpus([_record("p", raws)], gazetteer, client))
         client2, transport2 = make_replay_client(cache=CacheStore(path))
         second = list(resolve_corpus([_record("p", raws)], gazetteer, client2))
-        # The error entry for the unrecorded institute is cached too, so the
-        # rerun is answered entirely from the snapshot.
-        assert transport2.calls == 0
+        # Only answers are cached: the rerun asks again for the unrecorded
+        # institute alone, and gets the same failure.
+        assert transport2.calls == 1
         assert first == second
 
 

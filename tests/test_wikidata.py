@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 
 from ircmap.gazetteer import GazetteerError
 from ircmap.ingest import AffiliationMention, BibRecord, token_key
-from ircmap.resolver import Category, resolve_corpus
+from ircmap.resolver import Category, resolve, resolve_corpus
 from ircmap.wikidata import (
+    MAX_REFUSALS,
+    MAX_RETRY_AFTER_S,
     CacheEntry,
     CacheStatus,
     CacheStore,
+    EndpointRefused,
     LabelMap,
     Mode,
     RateLimiter,
@@ -197,6 +200,45 @@ class TestCacheStore:
         )
         assert client.query_country("c").status is CacheStatus.HIT
 
+    def test_error_entry_kept_in_memory_but_never_written(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        store = CacheStore(path)
+        error = self._entry(key="e", status=CacheStatus.ERROR, detail="http 503")
+        store.put(error)
+        assert store.get("e") == error
+        assert not path.exists()
+        empty = self._entry(key="k", status=CacheStatus.EMPTY)
+        store.put(empty)
+        assert path.read_text(encoding="utf-8") == empty.to_json() + "\n"
+
+    def test_error_lines_of_older_versions_skipped_on_load_and_asked_again(self, tmp_path, caplog, label_map):
+        path = tmp_path / "cache.jsonl"
+        hit = self._entry(key="mcgill university")
+        old_errors = [self._entry(key=key, status=CacheStatus.ERROR, detail="http 503")
+                      for key in ("mcgill university", "eth zurich")]
+        path.write_text("".join(e.to_json() + "\n" for e in (hit, *old_errors)), encoding="utf-8")
+        with caplog.at_level("WARNING", logger="ircmap.wikidata"):
+            store = CacheStore(path)
+        assert caplog.messages == [f"{path}: skipped 2 error lines; an online run asks for them again"]
+        assert len(store) == 1
+        assert store.get("mcgill university") == hit  # a later error line does not hide an answer
+        transport = ScriptedTransport([TransportResponse(200, _bindings("Switzerland"))])
+        client = WikidataClient(cache=store, label_map=label_map, transport=transport, rate_limit=0.0)
+        assert client.query_country("ETH Zurich").countries == ("Switzerland",)
+        assert client.query_country("McGill University") == hit
+        assert transport.calls == 1
+
+    def test_parent_directory_created_when_built(self, tmp_path):
+        path = tmp_path / "a" / "b" / "cache.jsonl"
+        CacheStore(path)
+        assert path.parent.is_dir() and not path.exists()
+
+    @pytest.mark.parametrize("below", ["c.jsonl", "a/c.jsonl"])
+    def test_path_under_a_regular_file_raises_when_built(self, tmp_path, below):
+        (tmp_path / "afile").write_text("x", encoding="utf-8")
+        with pytest.raises(OSError):
+            CacheStore(tmp_path / "afile" / below)
+
 
 class TestLabelMap:
     def test_canada_maps(self, label_map):
@@ -281,13 +323,29 @@ class TestQueryCountry:
         clock = FakeClock()
         client = WikidataClient(
             cache=CacheStore(), label_map=label_map, transport=transport,
-            rate_limit=0.0, max_attempts=5, backoff_base=1.0,
+            rate_limit=0.0, max_attempts=5,
             clock=clock.clock, sleep=clock.sleep,
         )
         entry = client.query_country("McGill University")
         assert entry.status is CacheStatus.HIT
         assert transport.calls == 3
         assert clock.sleeps == [1.0, 2.0]  # exponential backoff between attempts
+
+    @pytest.mark.parametrize(
+        "retry_after, slept",
+        [(3.0, 3.0), (0.0, 1.0), (MAX_RETRY_AFTER_S * 10, MAX_RETRY_AFTER_S)],
+        ids=["longer-than-backoff", "shorter-than-backoff", "above-the-cap"],
+    )
+    def test_retry_after_of_a_429_is_honoured_up_to_the_cap(self, label_map, retry_after, slept):
+        transport = ScriptedTransport([TransportResponse(429, "slow", retry_after),
+                                       TransportResponse(200, _bindings("Canada"))])
+        clock = FakeClock()
+        client = WikidataClient(
+            cache=CacheStore(), label_map=label_map, transport=transport,
+            rate_limit=0.0, clock=clock.clock, sleep=clock.sleep,
+        )
+        assert client.query_country("McGill University").countries == ("Canada",)
+        assert clock.sleeps == [slept]
 
     def test_persistent_server_error_cached_with_detail(self, label_map):
         transport = ScriptedTransport([TransportResponse(500, "x")] * 5)
@@ -344,22 +402,6 @@ class TestQueryCountry:
         at = datetime.now(timezone.utc) - age
         return CacheEntry(token_key(fragment), (), CacheStatus.ERROR, at.isoformat(), "http 503")
 
-    def test_error_entries_expire(self, label_map):
-        stale = self._error_entry("McGill University", timedelta(hours=25))
-        fresh = self._error_entry("ETH Zurich", timedelta(hours=1))
-        cache = CacheStore()
-        for entry in (stale, fresh):
-            cache.put(entry)
-        transport = ScriptedTransport([TransportResponse(200, _bindings("Canada"))])
-        client = WikidataClient(
-            cache=cache, label_map=label_map, transport=transport, rate_limit=0.0, sleep=lambda s: None
-        )
-        assert client.query_country("ETH Zurich") == fresh
-        assert transport.calls == 0
-        assert client.query_country("McGill University").countries == ("Canada",)
-        assert transport.calls == 1
-        assert cache.get(stale.key).status is CacheStatus.HIT
-
     def test_offline_error_entry_answers_as_recorded_however_old(self, label_map):
         cache = CacheStore()
         for fragment, hours in (("McGill University", 30), ("ETH Zurich", 1)):
@@ -370,16 +412,20 @@ class TestQueryCountry:
         for fragment in ("McGill University", "ETH Zurich"):
             assert client.query_country(fragment) == cache.get(token_key(fragment))
 
-    def test_malformed_body_not_cached(self, label_map):
+    def test_malformed_body_remembered_for_the_run_not_written(self, label_map, tmp_path):
+        path = tmp_path / "cache.jsonl"
         transport = ScriptedTransport([TransportResponse(200, "<html>oops</html>")])
         client = WikidataClient(
-            cache=CacheStore(), label_map=label_map, transport=transport,
+            cache=CacheStore(path), label_map=label_map, transport=transport,
             rate_limit=0.0, sleep=lambda s: None,
         )
         entry = client.query_country("McGill University")
         assert entry.status is CacheStatus.ERROR
         assert "malformed" in entry.detail
-        assert client.cache.get(entry.key) is None
+        assert client.cache.get(entry.key) == entry
+        assert client.query_country("McGill University") == entry
+        assert transport.calls == 1
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "bindings",
@@ -403,9 +449,9 @@ class TestQueryCountry:
         (row,) = resolve_corpus([record], gazetteer, client)
         assert (row.category, row.iso2) == (Category.UNIDENTIFIED, None)
         assert row.evidence.startswith("malformed response: ")
-        assert transport.calls == 2
+        assert transport.calls == 1  # the run remembers the error
         assert not path.exists()
-        assert client.cache.get(entry.key) is None
+        assert client.cache.get(entry.key) == entry
 
     def test_replay_transport_rejects_unknown_title(self):
         transport = ReplayTransport(REPLAY_DIR)
@@ -425,6 +471,76 @@ class TestQueryCountry:
             cache=CacheStore(), label_map=label_map, transport=transport, rate_limit=0.0
         )
         assert client.query_country("Twin Binding U").countries == ("Canada",)
+
+
+class _Refusing:
+    """A transport that answers every request with ``status`` after ``delay`` seconds, and counts them."""
+
+    def __init__(self, status=403, delay=0.0):
+        self.status, self.delay = status, delay
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def get(self, url, params, headers):
+        with self._lock:
+            self.calls += 1
+        time.sleep(self.delay)
+        return TransportResponse(self.status, "refused")
+
+
+def _misses(n):
+    """A record of ``n`` institution names that step 1 cannot place, one lookup each."""
+    names = [f"Quux Institute {word}" for word in "Alpha Bravo Delta Echo Foxtrot Golf Hotel Juliet Kilo Lima".split()]
+    return BibRecord("p", mentions=tuple(AffiliationMention("p", i, raw) for i, raw in enumerate(names[:n])))
+
+
+class TestRefusals:
+    def _client(self, label_map, transport, **kwargs):
+        return WikidataClient(cache=CacheStore(), label_map=label_map, transport=transport,
+                              rate_limit=0.0, sleep=lambda s: None, **kwargs)
+
+    def test_always_403_stops_after_max_refusals(self, gazetteer, label_map):
+        transport = _Refusing(403)
+        client = self._client(label_map, transport)
+        with pytest.raises(EndpointRefused, match=f"refused {MAX_REFUSALS} lookups in a row, the last with http 403"):
+            list(resolve_corpus([_misses(10)], gazetteer, client))
+        assert transport.calls == MAX_REFUSALS == 5
+        with pytest.raises(EndpointRefused):  # every later online miss stops too, library resolve() included
+            resolve(AffiliationMention("q", 0, "Quux Institute Zulu"), gazetteer, client)
+        assert transport.calls == 5
+
+    def test_pool_threads_share_the_count(self, gazetteer, label_map):
+        transport = _Refusing(403, delay=0.01)
+        with pytest.raises(EndpointRefused):
+            list(resolve_corpus([_misses(10)], gazetteer, self._client(label_map, transport), jobs=4))
+        time.sleep(0.05)  # let lookups already in flight finish
+        assert MAX_REFUSALS <= transport.calls <= MAX_REFUSALS + 3
+
+    def test_an_answer_between_refusals_resets_the_count(self, gazetteer, label_map):
+        script = [TransportResponse(403, "no")] * 4 + [TransportResponse(200, _bindings("Canada"))]
+        transport = ScriptedTransport(script + [TransportResponse(403, "no")] * 4)
+        rows = list(resolve_corpus([_misses(9)], gazetteer, self._client(label_map, transport)))
+        assert transport.calls == 9
+        assert [row.evidence for row in rows].count("http 403") == 8
+        assert rows[4].category is Category.WIKIDATA
+
+    def test_exhausted_429_is_a_refusal_and_answers_stay_cached(self, gazetteer, label_map, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        transport = ScriptedTransport([TransportResponse(200, _bindings("Canada"))]
+                                      + [TransportResponse(429, "slow")] * 2 * MAX_REFUSALS)
+        client = self._client(label_map, transport, max_attempts=2)
+        client.cache = CacheStore(path)
+        with pytest.raises(EndpointRefused, match="the last with http 429"):
+            list(resolve_corpus([_misses(10)], gazetteer, client))
+        assert transport.calls == 1 + 2 * MAX_REFUSALS
+        assert [CacheEntry.from_json(line).countries for line in path.read_text(encoding="utf-8").splitlines()] == [
+            ("Canada",)
+        ]
+
+    def test_429_then_transport_error_is_not_a_refusal(self, gazetteer, label_map):
+        transport = ScriptedTransport([TransportResponse(429, "slow"), TransportError("reset")] * 10)
+        rows = list(resolve_corpus([_misses(10)], gazetteer, self._client(label_map, transport, max_attempts=2)))
+        assert {row.evidence for row in rows} == {"transport error: reset"}
 
 
 class TestRateLimiter:
@@ -465,10 +581,12 @@ class _ScriptedEndpoint(BaseHTTPRequestHandler):
 
     def do_GET(self):  # noqa: N802 (http.server naming)
         self.server.seen.append((self.path, dict(self.headers)))
-        status, body = self.server.replies.pop(0)
+        status, body, *extra_headers = self.server.replies.pop(0)
         data = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/sparql-results+json")  # no charset
+        for name, value in extra_headers:
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
@@ -540,6 +658,26 @@ class TestRequestsTransportLoopback:
         entry = self._client(endpoint, label_map).query_country("McGill University")
         assert entry.status is CacheStatus.HIT
         assert len(endpoint.seen) == 2
+
+    @pytest.mark.parametrize(
+        "value, seconds",
+        [("3", 3.0), (" 120 ", 120.0), ("Wed, 21 Oct 2026 07:28:00 GMT", None), ("-1", None), ("1.5", None)],
+        ids=["seconds", "padded", "http-date", "negative", "fraction"],
+    )
+    def test_retry_after_read_from_a_real_429(self, endpoint, value, seconds):
+        endpoint.replies.append((429, "slow", ("Retry-After", value)))
+        response = RequestsTransport(timeout=5).get(endpoint.url, {"query": "q"}, {})
+        assert response == TransportResponse(429, "slow", seconds)
+
+    def test_client_waits_the_retry_after_of_a_real_429(self, endpoint, label_map):
+        endpoint.replies += [(429, "slow", ("Retry-After", "3")), (200, _bindings("Canada"))]
+        clock = FakeClock()
+        client = WikidataClient(
+            cache=CacheStore(), label_map=label_map, endpoint=endpoint.url,
+            transport=RequestsTransport(timeout=5), rate_limit=0.0, sleep=clock.sleep,
+        )
+        assert client.query_country("McGill University").countries == ("Canada",)
+        assert clock.sleeps == [3.0]
 
     def test_client_error_sent_once(self, endpoint, label_map):
         endpoint.replies.append((404, "nope"))
