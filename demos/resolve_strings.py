@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
 """Resolve a handful of raw affiliation strings and show each outcome.
 
-Runs fully offline: knowledge-graph lookups are answered from the recorded
-responses in demos/data/replay.
+Runs fully offline: knowledge-graph lookups are answered from an in-memory
+cache seeded below, and a string it does not hold shows ``offline-miss``.
 """
-
-from pathlib import Path
 
 from ircmap import (
     AffiliationMention,
@@ -13,7 +11,7 @@ from ircmap import (
     default_data_dir,
     resolve,
 )
-from ircmap.wikidata import CacheStore, LabelMap, ReplayTransport, WikidataClient
+from ircmap.wikidata import CacheEntry, CacheStatus, CacheStore, LabelMap, Mode, WikidataClient
 
 SAMPLES = [
     "School of IM, Victoria University of Wellington, Wellington, New Zealand",
@@ -33,13 +31,11 @@ def main():
     data_dir = default_data_dir()
     gazetteer = build_gazetteer(data_dir)
     label_map = LabelMap.from_gazetteer(gazetteer, data_dir / "wikidata_labels.tsv")
-    client = WikidataClient(
-        cache=CacheStore(),
-        label_map=label_map,
-        transport=ReplayTransport(Path(__file__).parent / "data" / "replay"),
-        rate_limit=0.0,
-        max_attempts=1,
-    )
+    cache = CacheStore()
+    at = "2024-01-01T00:00:00+00:00"
+    cache.put(CacheEntry("mcgill university", ("Canada",), CacheStatus.HIT, at))
+    cache.put(CacheEntry("eth zurich", ("Switzerland",), CacheStatus.HIT, at))
+    client = WikidataClient(cache=cache, label_map=label_map, mode=Mode.OFFLINE)
 
     width = max(len(s) for s in SAMPLES)
     print(f"{'raw affiliation'.ljust(width)}  category       iso2  evidence")

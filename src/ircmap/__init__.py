@@ -46,7 +46,6 @@ from ircmap.wikidata import (
     LabelMap,
     Mode,
     RateLimiter,
-    ReplayTransport,
     TransportError,
     WikidataClient,
     build_sparql_query,
@@ -76,7 +75,6 @@ __all__ = [
     "ParseReport",
     "PrepStats",
     "RateLimiter",
-    "ReplayTransport",
     "Resolution",
     "TransportError",
     "WikidataClient",

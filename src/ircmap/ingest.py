@@ -74,10 +74,13 @@ class Format(str, Enum):
     GENERIC_JSONL = "jsonl"
 
 
-#: Raw values treated as "no affiliation given" (compared case-insensitively
-#: against the trimmed raw string).  Fixed, not configurable, so category
-#: counts stay comparable across runs.
+#: Raw values treated as "no affiliation given".  A string is null-like when
+#: its cleaned form is empty or is the cleaned form of one of these, so
+#: ``NA.``, ``(null)`` and ``#TAB#None`` are null-like too.  Fixed, not
+#: configurable, so category counts stay comparable across runs.
 NULL_SYNONYMS = frozenset({"na", "n/a", "null", "none", "-"})
+#: The cleaned forms of ``NULL_SYNONYMS`` (``-`` cleans to the empty string).
+_NULL_CLEANED = frozenset({"", "na", "n a", "null", "none"})
 
 YEAR_MIN = 1800
 YEAR_MAX = 2100
@@ -109,14 +112,13 @@ def normalize_affiliation(raw: str) -> NormalizedAffiliation:
     Applies, in order: Unicode compatibility normalization, case folding,
     removal of the literal ``#TAB#`` token, replacement of punctuation other
     than commas with spaces, whitespace collapse, and trimming.  Empty
-    comma segments are dropped.  A raw value that is one of the null
-    synonyms (``NA``, ``N/A``, ``NULL``, ``NONE``, ``-``) cleans to the
-    empty string, so ``null_like`` is equivalent to ``cleaned == ""``.
+    comma segments are dropped.  A value whose cleaned form is that of a
+    null synonym (``NA``, ``N/A``, ``NULL``, ``NONE``, ``-``), such as
+    ``(null)`` or ``NA.``, cleans to the empty string, so ``null_like`` is
+    equivalent to ``cleaned == ""``.
 
     Idempotent: normalizing an already-cleaned string returns it unchanged.
     """
-    if raw.strip().casefold() in NULL_SYNONYMS:
-        return NormalizedAffiliation("", (), (), True)
     text = unicodedata.normalize("NFKC", raw)
     text = text.casefold()
     text = _TAB_TOKEN_RE.sub(" ", text)
@@ -124,8 +126,10 @@ def normalize_affiliation(raw: str) -> NormalizedAffiliation:
     segments = tuple(" ".join(part.split()) for part in text.split(","))
     segments = tuple(s for s in segments if s)
     cleaned = ", ".join(segments)
+    if cleaned in _NULL_CLEANED:
+        return NormalizedAffiliation("", (), (), True)
     tokens = tuple(tok for seg in segments for tok in seg.split())
-    return NormalizedAffiliation(cleaned, tokens, segments, cleaned == "")
+    return NormalizedAffiliation(cleaned, tokens, segments, False)
 
 
 def token_key(text: str) -> str:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import threading
 import time
 from datetime import datetime, timezone
@@ -43,7 +42,6 @@ __all__ = [
     "Mode",
     "QUERY_TEMPLATE",
     "RateLimiter",
-    "ReplayTransport",
     "RequestsTransport",
     "TransportError",
     "TransportResponse",
@@ -74,8 +72,6 @@ SELECT ?countryLabel WHERE
 schema:about ?datalink. ?datalink wdt:P17
 ?country.SERVICE wikibase:label
 {bd:serviceParam wikibase:language "en".}}"""
-
-_SUBJECT_IRI_RE = re.compile(r"<https://en\.wikipedia\.org/wiki/([^>]+)>")
 
 
 class Mode(str, Enum):
@@ -157,8 +153,9 @@ class CacheStore:
     """Append-only JSON-lines cache, last entry per key wins; it keeps no clock.
 
     Every entry put is kept in memory, but only a ``hit`` or an ``empty`` is
-    written; ``error`` lines that older versions wrote are skipped on load.
-    Given a path, it creates the parent directory, or raises ``OSError``.
+    written; ``error`` lines that older versions wrote are skipped on load,
+    and so, with a warning each, is a line that is not a UTF-8 entry.  Given
+    a path, it creates the parent directory, or raises ``OSError``.
     """
 
     def __init__(self, path: Optional[Path | str] = None):
@@ -175,13 +172,13 @@ class CacheStore:
 
     def _load(self) -> None:
         errors = 0
-        with open(self.path, "r", encoding="utf-8") as handle:
+        with open(self.path, "rb") as handle:
             for lineno, raw in enumerate(handle, start=1):
-                self._torn_tail = not raw.endswith("\n")
-                line = raw.strip()
-                if not line:
-                    continue
+                self._torn_tail = not raw.endswith(b"\n")
                 try:
+                    line = raw.decode("utf-8").strip()  # a line that is not UTF-8 is one more bad line
+                    if not line:
+                        continue
                     entry = CacheEntry.from_json(line)
                 except (json.JSONDecodeError, KeyError, ValueError) as exc:
                     logger.warning("%s:%d: skipping bad cache line (%s)", self.path, lineno, exc)
@@ -302,29 +299,6 @@ class RequestsTransport:
                 return TransportResponse(response.status, response.read().decode("utf-8", "replace"), seconds)
         except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(str(exc)) from exc
-
-
-class ReplayTransport:
-    """Serve recorded responses from a directory keyed by Wikipedia title.
-
-    A request whose query names ``<https://en.wikipedia.org/wiki/T>`` is
-    answered from ``<directory>/T.json``; a missing recording is a transport
-    error.  Used by the test suite so it never touches the network.
-    """
-
-    def __init__(self, directory: Path | str):
-        self.directory = Path(directory)
-
-    def get(self, url: str, params: dict, headers: dict) -> TransportResponse:
-        query = params.get("query", "")
-        match = _SUBJECT_IRI_RE.search(query)
-        if match is None:
-            raise TransportError("request carries no article IRI")
-        title = match.group(1)
-        path = self.directory / f"{title}.json"
-        if not path.is_file():
-            raise TransportError(f"no recorded response for {title!r}")
-        return TransportResponse(200, path.read_text(encoding="utf-8"))
 
 
 def _parse_country_labels(body: str) -> tuple[str, ...]:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import settings
 
 from ircmap.gazetteer import build_gazetteer, default_data_dir
-from ircmap.wikidata import CacheStore, LabelMap, Mode, ReplayTransport, WikidataClient
+from ircmap.wikidata import CacheStore, LabelMap, Mode, WikidataClient
 
-from support import REPLAY_DIR, CountingTransport
+from support import LoopbackEndpoint, ReplayTransport
 
 # The "ci" profile prints a failing example's @reproduce_failure blob, so a
 # property that fails only in CI can be replayed locally.
@@ -35,12 +35,12 @@ def label_map(gazetteer, data_dir):
 def make_replay_client(label_map):
     """Factory for clients answering from the recorded fixtures, no network.
 
-    Returns (client, counting_transport); retries and rate limiting are
+    Returns (client, replay_transport); retries and rate limiting are
     disabled so replay misses fail fast.
     """
 
     def factory(cache: CacheStore | None = None, mode=Mode.ONLINE, **kwargs):
-        transport = CountingTransport(ReplayTransport(REPLAY_DIR))
+        transport = ReplayTransport()
         client = WikidataClient(
             cache=cache if cache is not None else CacheStore(),
             label_map=label_map,
@@ -54,3 +54,11 @@ def make_replay_client(label_map):
         return client, transport
 
     return factory
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """A running :class:`LoopbackEndpoint` with an empty script, and no proxy for 127.0.0.1."""
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    with LoopbackEndpoint() as endpoint:
+        yield endpoint

@@ -23,16 +23,14 @@ from ircmap.wikidata import (
     CacheStatus,
     CacheStore,
     Mode,
-    ReplayTransport,
     WikidataClient,
     build_sparql_query,
 )
 
 from support import (
     QUERY_TEMPLATE_FILE,
-    REPLAY_DIR,
-    CountingTransport,
     FailingTransport,
+    ReplayTransport,
     preferred,
     read_labeled_fixture,
 )
@@ -94,7 +92,7 @@ def test_pipeline_ordering_controls_knowledge_graph_queries(gazetteer, label_map
         "MIT, Cambridge, MA, USA", "Oxford University, Oxford, UK",
         "ETH, Zurich, Switzerland", "NII, Tokyo, Japan",
     ] * 25
-    transport = CountingTransport(ReplayTransport(REPLAY_DIR))
+    transport = ReplayTransport()
     client = WikidataClient(
         cache=CacheStore(), label_map=label_map, transport=transport,
         rate_limit=0.0, max_attempts=1, sleep=lambda s: None,
@@ -111,7 +109,7 @@ def test_pipeline_ordering_controls_knowledge_graph_queries(gazetteer, label_map
         "Charles University", "KU Leuven", "Aalto University",
     ]
     unique_fragments = {token_key(raw) for raw in no_country}
-    transport2 = CountingTransport(ReplayTransport(REPLAY_DIR))
+    transport2 = ReplayTransport()
     client2 = WikidataClient(
         cache=CacheStore(), label_map=label_map, transport=transport2,
         rate_limit=0.0, max_attempts=1, sleep=lambda s: None,
@@ -130,7 +128,7 @@ def test_mcgill_golden_path(gazetteer, label_map):
 
     client = WikidataClient(
         cache=CacheStore(), label_map=label_map,
-        transport=ReplayTransport(REPLAY_DIR),
+        transport=ReplayTransport(),
         rate_limit=0.0, max_attempts=1, sleep=lambda s: None,
     )
     resolution = resolve(AffiliationMention("p", 0, "McGill University"), gazetteer, client)
@@ -146,7 +144,7 @@ def test_labeled_fixture_accuracy(gazetteer, label_map):
     assert len(rows) == 200
     client = WikidataClient(
         cache=CacheStore(), label_map=label_map,
-        transport=ReplayTransport(REPLAY_DIR),
+        transport=ReplayTransport(),
         rate_limit=0.0, max_attempts=1, sleep=lambda s: None,
     )
     start = time.perf_counter()

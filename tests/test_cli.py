@@ -3,15 +3,14 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import logging
 import os
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
-import threading
 from datetime import datetime, timedelta, timezone
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from unittest import mock
 
@@ -247,54 +246,65 @@ class TestResolve:
         assert rc == 1
         assert not (out / "enriched.jsonl").exists()
 
-    def test_cache_that_is_not_a_file_is_user_error_before_any_lookup(self, tmp_path, monkeypatch, capsys,
-                                                                      caplog):
-        monkeypatch.setenv("no_proxy", "127.0.0.1")
+    def test_cache_line_that_is_not_utf8_is_skipped_with_a_warning(self, tmp_path, warm_cache, caplog):
+        good = warm_cache.read_bytes().splitlines(keepends=True)
+        cache = tmp_path / "mixed.jsonl"
+        cache.write_bytes(good[0] + b"\xff\xfe bad\n" + good[1])
+        corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["McGill University", "zzqx unknown institute"])])
+        out = tmp_path / "out"
+        assert main(["resolve", "--input", str(corpus), "--output", str(out), "--cache", str(cache),
+                     "--offline"]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"{cache}:2: skipping bad cache line ('utf-8' codec can't decode")
+        rows = [json.loads(line) for line in (out / "enriched.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [(row["category"], row["iso2"], row["evidence"]) for row in rows] == [
+            ("Wikidata", "CA", "mcgill university"), ("Unidentified", None, "")]
+
+    def test_cache_that_is_not_a_file_is_user_error_before_any_lookup(self, tmp_path, loopback, capsys, caplog):
         corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", "McGill University"])])
         out, cache = tmp_path / "out", tmp_path / "cache"
         cache.mkdir()
-        rc, requests = _resolve_online(_CountingEndpoint, ["--input", str(corpus), "--output", str(out),
-                                                           "--cache", str(cache), "--jobs", "1"])
+        rc = main(["resolve", "--input", str(corpus), "--output", str(out), "--cache", str(cache),
+                   "--jobs", "1", "--endpoint", loopback.url])
         assert rc == 1
         assert capsys.readouterr().err == f"ircmap: error: cache {cache} is not a file\n"
         assert "Traceback" not in caplog.text
-        assert requests == 0
+        assert loopback.seen == []
         assert not any(out.iterdir())
         assert not any(cache.iterdir())
 
     @pytest.mark.parametrize("below", ["c.jsonl", "a/c.jsonl"])
-    def test_cache_under_a_regular_file_is_user_error_before_any_lookup(self, tmp_path, monkeypatch, capsys,
-                                                                        caplog, below):
-        monkeypatch.setenv("no_proxy", "127.0.0.1")
+    def test_cache_under_a_regular_file_is_user_error_before_any_lookup(self, tmp_path, loopback, capsys, caplog,
+                                                                        below):
         corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", "McGill University"])])
         (tmp_path / "afile").write_text("x", encoding="utf-8")
         out, cache = tmp_path / "out", tmp_path / "afile" / below
-        rc, requests = _resolve_online(_CountingEndpoint, ["--input", str(corpus), "--output", str(out),
-                                                           "--cache", str(cache), "--jobs", "1"])
+        rc = main(["resolve", "--input", str(corpus), "--output", str(out), "--cache", str(cache),
+                   "--jobs", "1", "--endpoint", loopback.url])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"ircmap: error: cannot use cache {cache}: ")
         assert "Traceback" not in caplog.text
-        assert requests == 0
+        assert loopback.seen == []
         assert not any(out.iterdir())
 
-    def test_endpoint_that_refuses_every_lookup_stops_the_run(self, tmp_path, monkeypatch, capsys, caplog):
-        monkeypatch.setenv("no_proxy", "127.0.0.1")
+    def test_endpoint_that_refuses_every_lookup_stops_the_run(self, tmp_path, loopback, capsys, caplog):
+        loopback.default = (403, "")
         names = [f"Quux Institute {word}" for word in ("Alpha", "Bravo", "Delta", "Echo", "Foxtrot", "Golf", "Hotel")]
         corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", *names])])
         out, cache = tmp_path / "out", tmp_path / "cache.jsonl"
         out.mkdir()
         (out / "earlier.txt").write_text("kept", encoding="utf-8")
         before = _snapshot(out)
-        rc, requests = _resolve_online(_RefusingEndpoint, ["--input", str(corpus), "--output", str(out),
-                                                           "--cache", str(cache), "--jobs", "1",
-                                                           "--rate-limit", "1000"])
+        rc = main(["resolve", "--input", str(corpus), "--output", str(out), "--cache", str(cache),
+                   "--jobs", "1", "--rate-limit", "1000", "--endpoint", loopback.url])
         assert rc == 1
         assert capsys.readouterr().err == (
             "ircmap: error: the SPARQL endpoint refused 5 lookups in a row, the last with http 403; "
             "the answers so far are cached\n"
         )
         assert "Traceback" not in caplog.text
-        assert requests == 5
+        assert len(loopback.seen) == 5
         assert _snapshot(out) == before
         assert not cache.exists()
 
@@ -1061,88 +1071,25 @@ def test_output_naming_a_file_is_user_error(corpus_20, tmp_path, capsys, caplog,
     assert taken.read_bytes() == b"not a directory\n"
 
 
-class _CountingEndpoint(BaseHTTPRequestHandler):
-    """Answers every GET with one Canada binding and counts the requests."""
-
-    def do_GET(self):  # noqa: N802 (http.server naming)
-        self.server.requests += 1
-        data = b'{"results": {"bindings": [{"countryLabel": {"value": "Canada"}}]}}'
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, format, *args):  # noqa: A002
-        pass
-
-
-class _RefusingEndpoint(BaseHTTPRequestHandler):
-    """Answers every GET with 403 Forbidden and counts the requests."""
-
-    def do_GET(self):  # noqa: N802 (http.server naming)
-        self.server.requests += 1
-        self.send_response(403)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    def log_message(self, format, *args):  # noqa: A002
-        pass
-
-
-def _resolve_online(handler, argv) -> tuple[int, int]:
-    """``resolve`` against a loopback endpoint served by ``handler``: the exit code and the requests it saw."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    server.requests = 0
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    try:
-        rc = main(["resolve", *argv, "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/sparql"])
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(5)
-    assert not thread.is_alive()
-    return rc, server.requests
-
-
-class _HeldEndpoint(BaseHTTPRequestHandler):
-    """Holds every GET open, without answering, until the test releases it."""
-
-    def do_GET(self):  # noqa: N802 (http.server naming)
-        self.server.arrived.set()
-        self.server.release.wait(30)
-
-    def log_message(self, format, *args):  # noqa: A002
-        pass
-
-
-def test_killed_resolve_commits_nothing(tmp_path):
+def test_killed_resolve_commits_nothing(tmp_path, loopback):
     """SIGKILL while a lookup is in flight: no enriched.jsonl and no manifest appear."""
+    loopback.hold = True
     corpus = _write_jsonl(tmp_path / "c.jsonl", [_paper("p", ["Oslo, Norway", "McGill University"])])
     out = tmp_path / "out"
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _HeldEndpoint)
-    server.arrived, server.release = threading.Event(), threading.Event()
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
     argv = ["resolve", "--input", str(corpus), "--output", str(out), "--cache", str(tmp_path / "cache.jsonl"),
-            "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/sparql", "--jobs", "1"]
+            "--endpoint", loopback.url, "--jobs", "1"]
     proc = subprocess.Popen(
         [sys.executable, "-c", "import sys, ircmap.cli; sys.exit(ircmap.cli.main(sys.argv[1:]))", *argv],
         env=_src_env(no_proxy="127.0.0.1"), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     try:
-        assert server.arrived.wait(60), "resolve never sent its lookup"
+        assert loopback.arrived.wait(60), "resolve never sent its lookup"
         proc.kill()
         proc.wait(30)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait(30)
-        server.release.set()
-        server.shutdown()
-        server.server_close()
-        thread.join(5)
-    assert not thread.is_alive()
     assert proc.returncode == -signal.SIGKILL
     assert not (out / "enriched.jsonl").exists()
     assert not (out / "manifest.json").exists()

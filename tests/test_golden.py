@@ -23,9 +23,9 @@ from ircmap.cli import main
 from ircmap.gazetteer import build_gazetteer, default_data_dir
 from ircmap.ingest import AffiliationMention
 from ircmap.resolver import Category, resolve
-from ircmap.wikidata import CacheStore, LabelMap, ReplayTransport, WikidataClient
+from ircmap.wikidata import CacheStore, LabelMap, WikidataClient
 
-from support import FIXTURES_DIR, REPLAY_DIR, read_labeled_fixture
+from support import FIXTURES_DIR, ReplayTransport, read_labeled_fixture
 
 GOLDEN_DIR = FIXTURES_DIR / "golden"
 STAGES = ("prepare", "resolve", "metrics")
@@ -75,7 +75,7 @@ def _fill_cache(path: Path) -> None:
     client = WikidataClient(
         cache=CacheStore(path),
         label_map=LabelMap.from_gazetteer(gazetteer, data_dir / "wikidata_labels.tsv"),
-        transport=ReplayTransport(REPLAY_DIR),
+        transport=ReplayTransport(),
         rate_limit=0.0, max_attempts=1, sleep=lambda seconds: None,
     )
     for i, (raw, _, _) in enumerate(read_labeled_fixture()):

@@ -11,7 +11,7 @@ from operator import itemgetter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ircmap.ingest as ingest_module
@@ -67,11 +67,26 @@ def _render(fmt, rows):
     return out.getvalue()
 
 
+#: Strings that clean to a null synonym's cleaned form without being one.
+_NULL_LOOKALIKES = ["NA.", "(null)", ":NA", "#TAB#NA", "None;", "Nª"]
+#: Each null synonym's cleaned form, read behind a leading word so the null rule leaves it.
+_CLEANED_SYNONYMS = {normalize_affiliation(f"x {s}").cleaned.removeprefix("x").strip() for s in NULL_SYNONYMS}
+
+
+def _with_null_lookalikes(test):
+    for raw in reversed(_NULL_LOOKALIKES):
+        test = example(raw=raw)(test)
+    return test
+
+
 class TestNormalizeAffiliation:
     def test_na_is_null_like(self):
         assert normalize_affiliation("NA").null_like is True
 
-    @pytest.mark.parametrize("raw", ["N/A", "null", "NONE", "-", "", "   ", "#TAB#"])
+    def test_cleaned_synonyms(self):
+        assert _CLEANED_SYNONYMS == {"", "na", "n a", "null", "none"} == ingest_module._NULL_CLEANED
+
+    @pytest.mark.parametrize("raw", ["N/A", "null", "NONE", "-", "", "   ", "#TAB#", *_NULL_LOOKALIKES])
     def test_null_like_synonyms_and_empties(self, raw):
         n = normalize_affiliation(raw)
         assert n.null_like is True
@@ -101,6 +116,7 @@ class TestNormalizeAffiliation:
         assert n.cleaned == "a, b, c"
 
     @given(st.text(max_size=80))
+    @_with_null_lookalikes
     @settings(max_examples=300, deadline=None)
     def test_idempotent(self, raw):
         once = normalize_affiliation(raw)
@@ -110,13 +126,17 @@ class TestNormalizeAffiliation:
         assert twice.segments == once.segments
 
     @given(st.text(max_size=80))
+    @_with_null_lookalikes
     @settings(max_examples=300, deadline=None)
     def test_null_like_iff_nothing_survives(self, raw):
+        """Null-like exactly when cleaning leaves nothing alphanumeric, or only a null synonym's cleaned form."""
         n = normalize_affiliation(raw)
         assert n.null_like == (n.cleaned == "")
-        if raw.strip().casefold() not in NULL_SYNONYMS:
-            survives = any(ch.isalnum() for ch in normalize_affiliation(raw.replace(",", " ")).cleaned)
-            assert n.null_like != survives
+        left = ", ".join(normalize_affiliation(raw + ",x").segments[:-1])  # the null rule spares the "x"
+        survives = any(ch.isalnum() for ch in left)
+        assert n.null_like == (not survives or left in _CLEANED_SYNONYMS)
+        if not n.null_like:
+            assert n.cleaned == left
 
     def test_token_key_strips_commas(self):
         assert token_key("Wellington, New Zealand") == "wellington new zealand"

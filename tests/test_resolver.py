@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import functools
-import re
 import threading
 import time
 from collections import Counter
@@ -21,9 +20,9 @@ from ircmap.resolver import (
     resolve_corpus,
     wikidata_fragments,
 )
-from ircmap.wikidata import CacheStore, Mode, ReplayTransport, TransportResponse
+from ircmap.wikidata import CacheStore, Mode, TransportResponse
 
-from support import REPLAY_DIR
+from support import ReplayTransport
 
 
 def _mention(raw, paper="p", idx=0):
@@ -239,6 +238,10 @@ class TestWikidataFragments:
 
     def test_duplicates_dropped(self):
         assert wikidata_fragments("X Lab, X Lab") == ["X Lab"]
+
+    def test_null_like_segments_skipped(self):
+        assert wikidata_fragments("Quux Institute, (None)") == ["Quux Institute"]
+        assert wikidata_fragments("(null), Quux Institute, NA.") == ["Quux Institute"]
 
 
 class TestResolve:
@@ -460,29 +463,13 @@ class TestResolveCorpus:
         assert first == second
 
 
-class _TitleRecorder:
-    """Replay transport that records each title asked for and answers
-    "Quiet" titles 50 ms late."""
-
-    def __init__(self):
-        self.replay = ReplayTransport(REPLAY_DIR)
-        self.titles = []
-
-    def get(self, url, params, headers):
-        title = re.search(r"/wiki/([^>]+)>", params["query"]).group(1)
-        self.titles.append(title)
-        if "Quiet" in title:
-            time.sleep(0.05)
-        return self.replay.get(url, params, headers)
-
-
 class TestLookupRounds:
     """Round r asks for the r-th fragment of each unsettled miss; a key goes
     out once per round, spelled as in the first pending miss that has it."""
 
     def _run(self, raws, make_replay_client, gazetteer, jobs):
         client, _ = make_replay_client()
-        client.transport = _TitleRecorder()
+        client.transport = ReplayTransport(late="Quiet")
         rows = list(resolve_corpus([_record("p", raws)], gazetteer, client, jobs=jobs))
         return rows, sorted(client.transport.titles)
 
@@ -538,7 +525,7 @@ class TestResolveCorpusThreads:
 
     def test_online_lookups_overlap(self, gazetteer, make_replay_client):
         barrier = threading.Barrier(2, timeout=5)
-        replay = ReplayTransport(REPLAY_DIR)
+        replay = ReplayTransport()
 
         class BarrierTransport:
             def get(self, url, params, headers):

@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 from datetime import datetime, timedelta, timezone
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
@@ -26,7 +25,6 @@ from ircmap.wikidata import (
     LabelMap,
     Mode,
     RateLimiter,
-    ReplayTransport,
     RequestsTransport,
     TransportError,
     TransportResponse,
@@ -36,9 +34,9 @@ from ircmap.wikidata import (
 
 from support import (
     QUERY_TEMPLATE_FILE,
-    REPLAY_DIR,
     FailingTransport,
     FakeClock,
+    ReplayTransport,
     ScriptedTransport,
 )
 
@@ -454,7 +452,7 @@ class TestQueryCountry:
         assert client.cache.get(entry.key) == entry
 
     def test_replay_transport_rejects_unknown_title(self):
-        transport = ReplayTransport(REPLAY_DIR)
+        transport = ReplayTransport()
         query = build_sparql_query("Nowhere Institute Zzz")
         with pytest.raises(TransportError):
             transport.get("http://endpoint", {"query": query}, {})
@@ -576,25 +574,6 @@ class TestRateLimiter:
         assert clock.now >= 5 * 0.25 - 1e-9
 
 
-class _ScriptedEndpoint(BaseHTTPRequestHandler):
-    """Answers each GET with the server's next (status, body) and records the request."""
-
-    def do_GET(self):  # noqa: N802 (http.server naming)
-        self.server.seen.append((self.path, dict(self.headers)))
-        status, body, *extra_headers = self.server.replies.pop(0)
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/sparql-results+json")  # no charset
-        for name, value in extra_headers:
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, format, *args):  # noqa: A002
-        pass
-
-
 def _bindings(*labels: str) -> str:
     return json.dumps(
         {"results": {"bindings": [{"countryLabel": {"value": label}} for label in labels]}},
@@ -610,83 +589,68 @@ class TestRequestsTransportLoopback:
         monkeypatch.setitem(sys.modules, "requests", None)
         monkeypatch.setenv("no_proxy", "127.0.0.1")
 
-    @pytest.fixture
-    def endpoint(self):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedEndpoint)
-        server.replies, server.seen = [], []
-        server.url = f"http://127.0.0.1:{server.server_address[1]}/sparql"
-        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-        thread.start()
-        try:
-            yield server
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(5)
-            assert not thread.is_alive()
-
-    def _client(self, endpoint, label_map):
+    def _client(self, loopback, label_map):
         return WikidataClient(
-            cache=CacheStore(), label_map=label_map, endpoint=endpoint.url,
+            cache=CacheStore(), label_map=label_map, endpoint=loopback.url,
             transport=RequestsTransport(timeout=5), rate_limit=0.0, sleep=lambda s: None,
             user_agent="ircmap-tests/1 (loopback)",
         )
 
-    def test_query_and_headers_arrive_verbatim(self, endpoint, label_map):
-        endpoint.replies.append((200, _bindings("Canada")))
-        entry = self._client(endpoint, label_map).query_country("AT&T Labs  Montréal")
+    def test_query_and_headers_arrive_verbatim(self, loopback, label_map):
+        loopback.script.append((200, _bindings("Canada")))
+        entry = self._client(loopback, label_map).query_country("AT&T Labs  Montréal")
         assert entry.countries == ("Canada",)
-        ((path, headers),) = endpoint.seen
+        ((path, headers),) = loopback.seen
         parts = urlsplit(path)
         assert parts.path == "/sparql"
         assert parse_qs(parts.query) == {"query": [build_sparql_query("AT&T Labs  Montréal")]}
         assert headers["User-Agent"] == "ircmap-tests/1 (loopback)"
         assert headers["Accept"] == "application/sparql-results+json"
 
-    def test_utf8_body_without_charset_decodes_exactly(self, endpoint, label_map):
+    def test_utf8_body_without_charset_decodes_exactly(self, loopback, label_map):
         body = _bindings("Curaçao")
-        endpoint.replies.append((200, body))
-        response = RequestsTransport(timeout=5).get(endpoint.url, {"query": "q"}, {})
+        loopback.script.append((200, body))
+        response = RequestsTransport(timeout=5).get(loopback.url, {"query": "q"}, {})
         assert response == TransportResponse(200, body)
-        endpoint.replies.append((200, body))
-        entry = self._client(endpoint, label_map).query_country("University of Curaçao")
+        loopback.script.append((200, body))
+        entry = self._client(loopback, label_map).query_country("University of Curaçao")
         assert entry.countries == ("Curaçao",)
         assert label_map.get(entry.countries[0]) == "CW"
 
-    def test_server_error_retried_to_success(self, endpoint, label_map):
-        endpoint.replies += [(503, "busy"), (200, _bindings("Canada"))]
-        entry = self._client(endpoint, label_map).query_country("McGill University")
+    def test_server_error_retried_to_success(self, loopback, label_map):
+        loopback.script += [(503, "busy"), (200, _bindings("Canada"))]
+        entry = self._client(loopback, label_map).query_country("McGill University")
         assert entry.status is CacheStatus.HIT
-        assert len(endpoint.seen) == 2
+        assert len(loopback.seen) == 2
 
     @pytest.mark.parametrize(
         "value, seconds",
         [("3", 3.0), (" 120 ", 120.0), ("Wed, 21 Oct 2026 07:28:00 GMT", None), ("-1", None), ("1.5", None)],
         ids=["seconds", "padded", "http-date", "negative", "fraction"],
     )
-    def test_retry_after_read_from_a_real_429(self, endpoint, value, seconds):
-        endpoint.replies.append((429, "slow", ("Retry-After", value)))
-        response = RequestsTransport(timeout=5).get(endpoint.url, {"query": "q"}, {})
+    def test_retry_after_read_from_a_real_429(self, loopback, value, seconds):
+        loopback.script.append((429, "slow", ("Retry-After", value)))
+        response = RequestsTransport(timeout=5).get(loopback.url, {"query": "q"}, {})
         assert response == TransportResponse(429, "slow", seconds)
 
-    def test_client_waits_the_retry_after_of_a_real_429(self, endpoint, label_map):
-        endpoint.replies += [(429, "slow", ("Retry-After", "3")), (200, _bindings("Canada"))]
+    def test_client_waits_the_retry_after_of_a_real_429(self, loopback, label_map):
+        loopback.script += [(429, "slow", ("Retry-After", "3")), (200, _bindings("Canada"))]
         clock = FakeClock()
         client = WikidataClient(
-            cache=CacheStore(), label_map=label_map, endpoint=endpoint.url,
+            cache=CacheStore(), label_map=label_map, endpoint=loopback.url,
             transport=RequestsTransport(timeout=5), rate_limit=0.0, sleep=clock.sleep,
         )
         assert client.query_country("McGill University").countries == ("Canada",)
         assert clock.sleeps == [3.0]
 
-    def test_client_error_sent_once(self, endpoint, label_map):
-        endpoint.replies.append((404, "nope"))
-        response = RequestsTransport(timeout=5).get(endpoint.url, {"query": "q"}, {})
+    def test_client_error_sent_once(self, loopback, label_map):
+        loopback.script.append((404, "nope"))
+        response = RequestsTransport(timeout=5).get(loopback.url, {"query": "q"}, {})
         assert response == TransportResponse(404, "nope")
-        endpoint.replies.append((404, "nope"))
-        entry = self._client(endpoint, label_map).query_country("McGill University")
+        loopback.script.append((404, "nope"))
+        entry = self._client(loopback, label_map).query_country("McGill University")
         assert (entry.status, entry.detail) == (CacheStatus.ERROR, "http 404")
-        assert len(endpoint.seen) == 2
+        assert len(loopback.seen) == 2
 
     def test_closed_port_is_transport_error(self):
         with socket.create_server(("127.0.0.1", 0)) as sock:
