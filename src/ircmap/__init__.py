@@ -16,7 +16,6 @@ from ircmap.ingest import (
     Format,
     IngestError,
     NormalizedAffiliation,
-    ParseReport,
     normalize_affiliation,
     parse_records,
     token_key,
@@ -72,7 +71,6 @@ __all__ = [
     "Mode",
     "NormalizedAffiliation",
     "PaperCountrySet",
-    "ParseReport",
     "PrepStats",
     "RateLimiter",
     "Resolution",

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from contextlib import ExitStack
+from functools import lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterator, Optional
@@ -49,31 +50,28 @@ log = logging.getLogger("ircmap")
 
 ENRICHED_FIELDS = Resolution._fields
 
-#: Distinct outcomes one enriched-line memo holds; it is cleared when full.
-_OUTCOME_MEMO_SIZE = 1 << 12
+
+@lru_cache(maxsize=1 << 12)
+def _outcome_pieces(category: Category, iso2: str | None, evidence: str, ambiguous: bool) -> tuple[str, str]:
+    """The text of an enriched line before and after ``author_index``, for one outcome."""
+    iso2 = "null" if iso2 is None else encode_basestring(iso2)
+    return (
+        f'{{"ambiguous": {json.dumps(ambiguous)}, "author_index": ',
+        f', "category": {encode_basestring(category.value)}, '
+        f'"evidence": {encode_basestring(evidence)}, "iso2": {iso2}, "paper_id": ',
+    )
 
 
-def _enriched_line(r: Resolution, memo: dict[tuple, tuple[str, str]]) -> str:
+def _enriched_line(r: Resolution) -> str:
     """``json.dumps(row, ensure_ascii=False, sort_keys=True) + "\\n"`` for ``r``'s row.
 
     Sorted, the keys run ``ambiguous, author_index, category, evidence, iso2,
     paper_id, raw``, so the text before and after ``author_index`` depends on
-    the outcome alone.  ``memo`` maps each outcome to those two pieces and
-    holds at most ``_OUTCOME_MEMO_SIZE`` outcomes.  ``encode_basestring`` is
-    the string encoder ``json.dumps(ensure_ascii=False)`` itself uses.
+    the outcome alone, and :func:`_outcome_pieces` caches it.
+    ``encode_basestring`` is the string encoder ``json.dumps(ensure_ascii=False)``
+    itself uses.
     """
-    key = (r.category, r.iso2, r.evidence, r.ambiguous)
-    pieces = memo.get(key)
-    if pieces is None:
-        if len(memo) >= _OUTCOME_MEMO_SIZE:
-            memo.clear()
-        iso2 = "null" if r.iso2 is None else encode_basestring(r.iso2)
-        pieces = memo[key] = (
-            f'{{"ambiguous": {json.dumps(r.ambiguous)}, "author_index": ',
-            f', "category": {encode_basestring(r.category.value)}, '
-            f'"evidence": {encode_basestring(r.evidence)}, "iso2": {iso2}, "paper_id": ',
-        )
-    head, middle = pieces
+    head, middle = _outcome_pieces(r.category, r.iso2, r.evidence, r.ambiguous)
     return (f'{head}{r.author_index}{middle}{encode_basestring(r.paper_id)}'
             f', "raw": {encode_basestring(r.raw)}}}\n')
 
@@ -159,8 +157,8 @@ def _require_input(path_str: str) -> Path:
 
 
 def _warn_skipped(path: Path, reader) -> None:
-    if reader.report.rows_skipped:
-        log.warning("%s: skipped %d malformed or duplicate rows", path, reader.report.rows_skipped)
+    if reader.rows_skipped:
+        log.warning("%s: skipped %d malformed or duplicate rows", path, reader.rows_skipped)
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
@@ -254,10 +252,9 @@ def cmd_resolve(args: argparse.Namespace) -> int:
                     files.enter_context(open(out.stage / "enriched.csv", "w", encoding="utf-8", newline=""))
                 )
                 csv_writer.writerow(ENRICHED_FIELDS)
-            memo = {}
             for r in resolve_corpus(reader, gazetteer, client, jobs=args.jobs):
                 counts[r.category] += 1
-                handle.write(_enriched_line(r, memo))
+                handle.write(_enriched_line(r))
                 if csv_writer is not None:
                     csv_writer.writerow(r)  # a Category is a str, written as its value
         _warn_skipped(in_path, reader)
@@ -276,11 +273,12 @@ def _read_enriched(path: Path) -> Iterator[MentionCountry]:
     empty, passes :func:`check_outcome` once.
     """
     checked: set[tuple] = set()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
             try:
+                line = line.decode("utf-8")  # a line that is not UTF-8 is one more bad row
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
                 row = MentionCountry(obj["paper_id"], obj.get("iso2"))
                 if not isinstance(row.paper_id, str):
@@ -330,6 +328,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
     if not isinstance(outputs, list) or not all(isinstance(name, str) for name in outputs):
         raise CliError(f"{manifest_path} is not a manifest: no list of outputs")
+    for name in outputs:
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise CliError(f"{manifest_path} is not a manifest: output {name!r} is not a file name in {directory}")
     names = [name for name in outputs if name.endswith(".txt")]
     if not names:
         raise CliError(f"no report artifacts found under {directory}")

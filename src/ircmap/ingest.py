@@ -30,20 +30,19 @@ Each paper id yields one record, the first: every later record with that id
 is skipped in all three formats, including rows of a paper that reappear
 after another paper's rows.  Skipped rows are counted like malformed ones.
 
-Malformed rows are skipped and counted, never fatal; an unreadable stream or
-unknown format is fatal.
+Malformed rows are skipped and counted, never fatal; an unreadable path, an
+unknown format and a CSV header without the required columns are fatal.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
 import unicodedata
-from dataclasses import dataclass
+import weakref
 from enum import Enum
-from functools import partial
+from functools import lru_cache
 from itertools import groupby, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -55,7 +54,6 @@ __all__ = [
     "Format",
     "IngestError",
     "NormalizedAffiliation",
-    "ParseReport",
     "RecordReader",
     "normalize_affiliation",
     "parse_records",
@@ -137,6 +135,11 @@ def token_key(text: str) -> str:
     return " ".join(normalize_affiliation(text).tokens)
 
 
+#: ``token_key`` of an FOS term, remembered for the most recent distinct terms
+#: of every reader in the process.
+_fos_key = lru_cache(maxsize=1 << 14)(token_key)
+
+
 class AffiliationMention(NamedTuple):
     """One (paper, author) raw affiliation string; the unit of resolution.
 
@@ -159,11 +162,6 @@ class BibRecord(NamedTuple):
     doi: str | None = None
 
 
-@dataclass
-class ParseReport:
-    rows_skipped: int = 0
-
-
 def _parse_year(value: object) -> int | None:
     """``value`` as a year, ``None`` if unknown; raises ``TypeError`` unless null, a string or integral."""
     if type(value) is int:  # a bool is not a year
@@ -182,16 +180,10 @@ def _parse_year(value: object) -> int | None:
     return year if YEAR_MIN <= year <= YEAR_MAX else None
 
 
-#: Distinct FOS terms one reader remembers; its memo is cleared when full.
-_FOS_MEMO_SIZE = 1 << 14
+def _parse_fos(terms: object) -> frozenset[str]:
+    """FOS keys of ``terms``: null, a ``|``-separated string or a list of strings.
 
-
-def _parse_fos(terms: object, memo: dict[str, str]) -> frozenset[str]:
-    """FOS keys of ``terms`` (null, a ``|``-separated string or a list of strings), via ``memo``.
-
-    ``memo`` maps each term to its ``token_key``; it holds at most
-    ``_FOS_MEMO_SIZE`` terms.  Any other type, of ``terms`` or of a list
-    item, raises ``TypeError``.
+    Any other type, of ``terms`` or of a list item, raises ``TypeError``.
     """
     if terms is None:
         return frozenset()
@@ -203,124 +195,127 @@ def _parse_fos(terms: object, memo: dict[str, str]) -> frozenset[str]:
     for term in terms:
         if not isinstance(term, str):
             raise TypeError(f"fos item is not a string: {term!r}")
-        key = memo.get(term)
-        if key is None:
-            if len(memo) >= _FOS_MEMO_SIZE:
-                memo.clear()
-            key = memo[term] = token_key(term)
-        out.add(key)
+        out.add(_fos_key(term))
     out.discard("")
     return frozenset(out)
 
 
-class RecordReader:
-    """Iterable of :class:`BibRecord` with a :class:`ParseReport`.
-
-    ``report.rows_skipped`` is final only once the stream is exhausted.
-    """
-
-    def __init__(self, rows: Iterator[BibRecord], report: ParseReport):
-        self._rows = rows
-        self.report = report
-
-    def __iter__(self) -> Iterator[BibRecord]:
-        return self._rows
-
-
-def parse_records(
-    source: Union[str, Path, IO[str], IO[bytes]],
-    fmt: Format | str,
-) -> RecordReader:
-    """Stream records from ``source`` in the given format.
+def parse_records(source: Union[str, Path, IO[str]], fmt: Format | str) -> RecordReader:
+    """Stream records from ``source``, a path or a text stream, in the given format.
 
     Yields records in input order, the first one for each paper id.  A row
-    is skipped and counted in the report if it has a blank paper id, an
+    is skipped and counted in ``rows_skipped`` if it has a blank paper id, an
     author index that is not a non-negative integer, the wrong column count
     or bad JSON; if it is JSONL that breaks the module docstring's schema (a
     field of another type, a repeated ``author_index``, a fractional,
     infinite or NaN year, a lone surrogate); or if it repeats a paper id
-    already yielded, or an author index within a row-format record.  A file
-    opened from a path is closed once the stream is exhausted or closed; a
-    caller's stream, text or binary, is left open.
+    already yielded, or an author index within a row-format record.
 
-    Each reader keeps its own memo from FOS term to key, so a term repeated
-    across records is normalized once.  The memo holds at most
-    ``_FOS_MEMO_SIZE`` terms and is cleared when full; readers share none.
+    A path is read as UTF-8, with undecodable bytes replaced and a leading
+    byte order mark ignored; the file is closed once the records are
+    exhausted, or their iterator is closed or dropped.  A caller's text
+    stream is read as given and left open.
     """
     try:
         fmt = Format(fmt)
     except ValueError as exc:
         raise IngestError(f"unknown format: {fmt!r}") from exc
-    report = ParseReport()
-    try:
-        stream = _open_text(source)
-    except OSError as exc:
-        raise IngestError(f"cannot read input: {exc}") from exc
-    release = None
-    if isinstance(source, (str, Path)):
-        release = stream.close
-    elif stream is not source:
-        release = stream.detach  # closing the text wrapper would close the caller's binary stream
-    try:
-        records = _first_per_id(_format_records(stream, fmt, report, fos_memo={}), report)
-    except BaseException:
-        if release is not None:
-            release()
-        raise
-    return RecordReader(records if release is None else _releasing(records, release), report)
+    return RecordReader(source, fmt)
 
 
-def _format_records(
-    stream: IO[str], fmt: Format, report: ParseReport, fos_memo: dict[str, str]
-) -> Iterator[tuple[BibRecord, int]]:
-    if fmt is Format.GENERIC_JSONL:
-        lines = filter(str.strip, stream)  # a blank line is not a row
-        return zip(_parsed(lines, partial(_json_record, fos_memo=fos_memo), report), repeat(1))
-    if fmt is Format.MAG_TSV:
-        lines = (line.rstrip("\n").rstrip("\r") for line in stream)
-        # No DOI column: a 6-field row gets an empty one, and _row's unpack rejects any other count.
-        fields = (line.split("\t") + [""] for line in lines if line)
-    else:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise IngestError("csv input has no header row")
-        missing = {"paper_id", "author_index", "affiliation"} - set(reader.fieldnames)
-        if missing:
-            raise IngestError(f"csv header missing columns: {sorted(missing)}")
-        fields = ([row.get(column) or "" for column in _COLUMNS] for row in reader)
-    return _iter_rowwise(_parsed(fields, partial(_row, fos_memo=fos_memo), report), report)
+class RecordReader:
+    """The records of one source, as :func:`parse_records` describes them.
 
+    ``rows_skipped`` counts the rows skipped so far; it is final once the
+    iterator is exhausted.  ``iter(reader)`` returns the same single
+    iterator each time.  Opening a path, or a CSV header that lacks a
+    required column, fails here, at once; the reader closes the file it
+    opened before it raises.
+    """
 
-def _parsed(rows: Iterable, parse: Callable, report: ParseReport) -> Iterator:
-    """``parse`` each row; skip and count one whose parse raises ``TypeError`` or ``ValueError``."""
-    for row in rows:
+    def __init__(self, source: Union[str, Path, IO[str]], fmt: Format):
+        self.rows_skipped = 0
+        close = None
+        if isinstance(source, (str, Path)):
+            try:
+                source = open(source, "r", encoding="utf-8-sig", errors="replace", newline="")
+            except OSError as exc:
+                raise IngestError(f"cannot read input: {exc}") from exc
+            # The reader and its iterator refer to each other, so a reader dropped before the end is
+            # freed by the cyclic GC, which may reach the file first; a finalizer closes it before.
+            close = weakref.finalize(self, source.close)
         try:
-            parsed = parse(row)
-        except (TypeError, ValueError):
-            report.rows_skipped += 1
+            records = self._format_records(source, fmt)
+        except BaseException:
+            if close is not None:
+                close()
+            raise
+        self._records = self._first_of_each_id(records, close)
+
+    def __iter__(self) -> Iterator[BibRecord]:
+        return self._records
+
+    def _first_of_each_id(
+        self, records: Iterator[tuple[BibRecord, int]], close: Callable[[], object] | None
+    ) -> Iterator[BibRecord]:
+        """Yield the first record of each paper id, counting later ones' rows; then ``close``."""
+        seen: set[str] = set()
+        try:
+            for record, rows in records:
+                if record.paper_id in seen:
+                    self.rows_skipped += rows
+                    continue
+                seen.add(record.paper_id)
+                yield record
+        finally:
+            if close is not None:
+                close()
+
+    def _format_records(self, stream: IO[str], fmt: Format) -> Iterator[tuple[BibRecord, int]]:
+        """Each record of ``stream`` with its number of kept rows; a CSV header is checked now."""
+        if fmt is Format.GENERIC_JSONL:
+            lines = filter(str.strip, stream)  # a blank line is not a row
+            return zip(self._parsed(lines, _json_record), repeat(1))
+        if fmt is Format.MAG_TSV:
+            lines = (line.rstrip("\n").rstrip("\r") for line in stream)
+            # No DOI column: a 6-field row gets an empty one, and _row's unpack rejects any other count.
+            fields = (line.split("\t") + [""] for line in lines if line)
         else:
-            yield parsed
+            reader = csv.DictReader(stream)
+            if reader.fieldnames is None:
+                raise IngestError("csv input has no header row")
+            missing = {"paper_id", "author_index", "affiliation"} - set(reader.fieldnames)
+            if missing:
+                raise IngestError(f"csv header missing columns: {sorted(missing)}")
+            fields = ([row.get(column) or "" for column in _COLUMNS] for row in reader)
+        return self._iter_rowwise(self._parsed(fields, _row))
 
+    def _parsed(self, rows: Iterable, parse: Callable) -> Iterator:
+        """``parse`` each row; skip and count one whose parse raises ``TypeError`` or ``ValueError``."""
+        for row in rows:
+            try:
+                parsed = parse(row)
+            except (TypeError, ValueError):
+                self.rows_skipped += 1
+            else:
+                yield parsed
 
-def _releasing(records: Iterator[BibRecord], release: Callable[[], object]) -> Iterator[BibRecord]:
-    """Yield ``records``; call ``release`` once they are exhausted or closed."""
-    try:
-        yield from records
-    finally:
-        release()
+    def _iter_rowwise(self, rows: Iterable[_Row]) -> Iterator[tuple[BibRecord, int]]:
+        """Group contiguous mention rows by paper id.
 
-
-def _open_text(source: Union[str, Path, IO[str], IO[bytes]]) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", errors="replace", newline="")
-    if isinstance(source, io.TextIOBase):
-        return source
-    data = getattr(source, "read", None)
-    if data is None:
-        raise IngestError(f"not a readable stream: {source!r}")
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        return io.TextIOWrapper(source, encoding="utf-8", errors="replace", newline="")
-    return source  # duck-typed text stream
+        A group's first row supplies the paper's title, year, FOS and DOI.  The
+        first row of each author index gives its mention; later rows with that
+        index are skipped.  Yields each record with its number of kept rows.
+        """
+        for paper_id, group in groupby(rows, key=itemgetter(0)):
+            group = list(group)
+            mentions: dict[int, AffiliationMention] = {}
+            for row in group:
+                if row[1] not in mentions:
+                    mentions[row[1]] = AffiliationMention(paper_id, row[1], row[2])
+            self.rows_skipped += len(group) - len(mentions)
+            _, _, _, title, year, fos_terms, doi = group[0]
+            yield BibRecord(paper_id, title, year, fos_terms, tuple(mentions.values()), doi), len(mentions)
 
 
 def _optional_text(obj: dict, field: str) -> str:
@@ -333,7 +328,7 @@ def _optional_text(obj: dict, field: str) -> str:
     return value
 
 
-def _json_record(line: str, fos_memo: dict[str, str]) -> BibRecord:
+def _json_record(line: str) -> BibRecord:
     """One JSONL line's record; raises ``TypeError`` or ``ValueError`` if it breaks the schema."""
     obj = json.loads(line)
     if not isinstance(obj, dict):
@@ -360,7 +355,7 @@ def _json_record(line: str, fos_memo: dict[str, str]) -> BibRecord:
         paper_id=paper_id,
         title=_optional_text(obj, "title"),
         year=_parse_year(obj.get("year")),
-        fos_terms=_parse_fos(obj.get("fos"), fos_memo),
+        fos_terms=_parse_fos(obj.get("fos")),
         mentions=tuple(mentions),
         doi=_optional_text(obj, "doi").strip() or None,
     )
@@ -405,48 +400,11 @@ _COLUMNS = ("paper_id", "author_index", "affiliation", "title", "year", "fos", "
 _Row = tuple[str, int, str, str, "int | None", frozenset, "str | None"]
 
 
-def _row(fields: Sequence[str], fos_memo: dict[str, str]) -> _Row:
+def _row(fields: Sequence[str]) -> _Row:
     """One mention row from its raw column values in ``_COLUMNS`` order; raises ``ValueError`` if bad."""
     paper_id, author_index, affiliation, title, year, fos, doi = fields
     paper_id, author_index = paper_id.strip(), int(author_index)
     if not paper_id or author_index < 0:
         raise ValueError(f"blank paper_id or negative author_index: {fields!r}")
-    return (paper_id, author_index, affiliation, title, _parse_year(year), _parse_fos(fos, fos_memo),
+    return (paper_id, author_index, affiliation, title, _parse_year(year), _parse_fos(fos),
             doi.strip() or None)
-
-
-def _iter_rowwise(rows: Iterable[_Row], report: ParseReport) -> Iterator[tuple[BibRecord, int]]:
-    """Group contiguous mention rows by paper id.
-
-    A group's first row supplies the paper's title, year, FOS and DOI.  The
-    first row of each author index gives its mention; later rows with that
-    index are skipped.  Yields each record with its number of kept rows.
-    """
-    for paper_id, group in groupby(rows, key=itemgetter(0)):
-        group = list(group)
-        mentions: dict[int, AffiliationMention] = {}
-        for row in group:
-            if row[1] not in mentions:
-                mentions[row[1]] = AffiliationMention(paper_id, row[1], row[2])
-        report.rows_skipped += len(group) - len(mentions)
-        _, _, _, title, year, fos_terms, doi = group[0]
-        record = BibRecord(
-            paper_id=paper_id,
-            title=title,
-            year=year,
-            fos_terms=fos_terms,
-            mentions=tuple(mentions.values()),
-            doi=doi,
-        )
-        yield record, len(mentions)
-
-
-def _first_per_id(records: Iterator[tuple[BibRecord, int]], report: ParseReport) -> Iterator[BibRecord]:
-    """Yield the first record of each paper id; count later ones' rows as skipped."""
-    seen: set[str] = set()
-    for record, rows in records:
-        if record.paper_id in seen:
-            report.rows_skipped += rows
-            continue
-        seen.add(record.paper_id)
-        yield record

@@ -12,7 +12,6 @@ import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +85,19 @@ class TestPrepare:
         assert report["Total works"] == 20
         assert report["Unique, co-authored, CS works"] == 14
         assert report["detail"]["single_author_dropped"] == 6
+
+    def test_mag_tsv_with_a_byte_order_mark_keeps_one_paper(self, tmp_path):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("\ufeffp1\t0\tParis, France\tT\t2001\tai\np1\t1\tRome, Italy\tT\t2001\tai\n",
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["prepare", "--input", str(corpus), "--format", "mag-tsv", "--output", str(out)]) == 0
+        (line,) = (out / "prepared.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(line)
+        assert record["paper_id"] == "p1"
+        assert [author["affiliation"] for author in record["authors"]] == ["Paris, France", "Rome, Italy"]
+        counts = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["counts"]
+        assert (counts["total_works"], counts["prepared"]) == (1, 1)
 
     def test_empty_input_errors_without_output(self, tmp_path, capsys):
         empty = _write_jsonl(tmp_path / "empty.jsonl", [])
@@ -533,27 +545,23 @@ def _enriched_rows(draw, text=_JSON_TEXT,
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=_enriched_rows(), cap=st.sampled_from([1, 2, cli_module._OUTCOME_MEMO_SIZE]))
-def test_enriched_line_equals_json_dumps(rows, cap):
-    """Each line is the row's sorted-key ``json.dumps``; the memo never outgrows its cap."""
-    memo = {}
-    with mock.patch.object(cli_module, "_OUTCOME_MEMO_SIZE", cap):
-        for r in rows:
-            row = {field: getattr(r, field) for field in ENRICHED_FIELDS}
-            row["category"] = r.category.value
-            assert _enriched_line(r, memo) == json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
-            assert len(memo) <= cap
+@given(rows=_enriched_rows())
+def test_enriched_line_equals_json_dumps(rows):
+    """Each line is the row's sorted-key ``json.dumps``."""
+    for r in rows:
+        row = {field: getattr(r, field) for field in ENRICHED_FIELDS}
+        row["category"] = r.category.value
+        assert _enriched_line(r) == json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
 
 
 @settings(max_examples=100, deadline=None)
 @given(rows=_enriched_rows(text=_UTF8_TEXT, author_indices=st.integers(min_value=0)))
 def test_enriched_row_round_trips(tmp_path_factory, rows):
     """``metrics`` reads back each written row's paper and country, and the line parses to the row."""
-    memo = {}
     path = tmp_path_factory.mktemp("enriched") / "enriched.jsonl"
     with open(path, "w", encoding="utf-8") as handle:
         for r in rows:
-            handle.write(_enriched_line(r, memo))
+            handle.write(_enriched_line(r))
     assert list(cli_module._read_enriched(path)) == [MentionCountry(r.paper_id, r.iso2) for r in rows]
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines.pop() == ""
@@ -656,17 +664,19 @@ class TestMetrics:
             json.dumps({**_GOOD_ROW, "author_index": True}),
             json.dumps({**_GOOD_ROW, "author_index": "1"}),
             json.dumps({**_GOOD_ROW, "author_index": -1}),
+            json.dumps({**_GOOD_ROW, "raw": "Caf\u00e9"}, ensure_ascii=False).encode("latin-1"),
         ],
         ids=["bad-json", "no-paper-id", "non-integer-author-index", "unknown-category",
              "identified-without-iso2", "iso2-on-unidentified", "iso2-on-null-like", "empty-evidence",
              "not-an-object", "null-author-index", "list-paper-id", "numeric-paper-id",
              "list-iso2", "numeric-iso2", "numeric-evidence", "list-evidence", "list-category",
              "fractional-author-index", "boolean-author-index", "string-author-index",
-             "negative-author-index"],
+             "negative-author-index", "not-utf8"],
     )
     def test_bad_enriched_row_is_user_error(self, tmp_path, capsys, caplog, line):
         enriched = tmp_path / "enriched.jsonl"
-        enriched.write_text(json.dumps(self._GOOD_ROW) + "\n" + line + "\n", encoding="utf-8")
+        line = line if isinstance(line, bytes) else line.encode("utf-8")
+        enriched.write_bytes(json.dumps(self._GOOD_ROW).encode("utf-8") + b"\n" + line + b"\n")
         out = tmp_path / "stats"
         capsys.readouterr()
         assert main(["metrics", "--input", str(enriched), "--output", str(out)]) == 1
@@ -891,6 +901,25 @@ class TestReport:
         assert main(["report", "--input", str(directory)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"ircmap: error: {directory / 'manifest.json'} is not a manifest: no list of outputs\n"
+        assert captured.out == ""
+        assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize("name", ["../secret.txt", "/secret.txt", "..", "."],
+                             ids=["parent", "absolute", "dot-dot", "dot"])
+    def test_output_outside_the_directory_is_error(self, tmp_path, capsys, caplog, name):
+        """``report`` reads only the plain file names that ``ircmap`` writes, never a file elsewhere."""
+        directory = tmp_path / "run"
+        directory.mkdir()
+        (tmp_path / "secret.txt").write_text("not a report\n", encoding="utf-8")
+        if name == "/secret.txt":
+            name = str(tmp_path / "secret.txt")
+        (directory / "breakdown.txt").write_text("Affiliations  3\n", encoding="utf-8")
+        (directory / "manifest.json").write_text(json.dumps({"outputs": ["breakdown.txt", name]}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--input", str(directory)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"ircmap: error: {directory / 'manifest.json'} is not a manifest: "
+                                f"output {name!r} is not a file name in {directory}\n")
         assert captured.out == ""
         assert "Traceback" not in caplog.text
 
@@ -1122,7 +1151,7 @@ def _metrics_peak_rss_mib(work: Path, papers: int) -> float:
                 iso2 = countries[(i + j) % len(countries)]
                 enriched.write(_enriched_line(Resolution(
                     pid, j, "x", Category.COUNTRY_NAME if iso2 else Category.UNIDENTIFIED,
-                    iso2, "x" if iso2 else "", False), {}))
+                    iso2, "x" if iso2 else "", False)))
     argv = ["metrics", "--input", str(work / "enriched.jsonl"), "--records", str(work / "records.jsonl"),
             "--output", str(work / "out")]
     done = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv], capture_output=True, text=True,

@@ -8,16 +8,23 @@ files (``prepared.jsonl``, ``enriched.jsonl``, ``enriched.csv``) are compared
 by their sha256 digests.  A change that keeps the pipeline's bytes passes this
 unchanged.  After a change that alters the outputs on purpose, rewrite the
 fixture with ``PYTHONPATH=src python tests/test_golden.py`` and review its diff.
+
+The row-format legs write the golden ``prepared.jsonl`` as ``csv`` and as
+``mag-tsv`` and run ``resolve`` and ``metrics --records`` on it in that
+format; every file they write must equal the JSONL leg's bytes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from ircmap.cli import main
 from ircmap.gazetteer import build_gazetteer, default_data_dir
@@ -148,6 +155,46 @@ def test_outputs_equal_the_golden_fixture(tmp_path):
     assert sorted(got["files"]) == sorted(golden_files)
     for name, data in got["files"].items():
         assert data == golden_files[name], f"{name} differs from the golden fixture"
+
+
+def _write_rows(prepared: Path, path: Path, fmt: str) -> Path:
+    """``prepared`` as ``fmt`` input at ``path``: one row per mention, in mention order.
+
+    ``csv`` gets a header and the DOI column, which ``mag-tsv`` lacks.  The
+    labeled strings hold no tab, newline, ``"`` or ``|``.
+    """
+    rows = []
+    for line in prepared.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        year = "" if record["year"] is None else str(record["year"])
+        for position, author in enumerate(record["authors"]):
+            rows.append([record["paper_id"], str(author.get("author_index", position)), author["affiliation"],
+                         record["title"], year, "|".join(record["fos"]), record["doi"] or ""])
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        if fmt == "csv":
+            writer = csv.writer(handle)
+            writer.writerow(["paper_id", "author_index", "affiliation", "title", "year", "fos", "doi"])
+            writer.writerows(rows)
+        else:
+            handle.writelines("\t".join(row[:6]) + "\n" for row in rows)
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["csv", "mag-tsv"])
+def test_row_format_leg_equals_the_jsonl_leg(tmp_path, fmt):
+    run_pipeline(tmp_path)
+    records = _write_rows(tmp_path / "prepare" / "prepared.jsonl", tmp_path / f"prepared.{fmt}", fmt)
+    leg = tmp_path / fmt
+    assert main(["resolve", "--input", str(records), "--format", fmt, "--cache", str(tmp_path / "cache.jsonl"),
+                 "--offline", "--emit-csv", "--jobs", "2", "--output", str(leg / "resolve")]) == 0
+    assert main(["metrics", "--input", str(leg / "resolve" / "enriched.jsonl"), "--records", str(records),
+                 "--records-format", fmt, "--output", str(leg / "metrics")]) == 0
+    for stage in ("resolve", "metrics"):
+        want = json.loads((tmp_path / stage / "manifest.json").read_text(encoding="utf-8"))
+        got = json.loads((leg / stage / "manifest.json").read_text(encoding="utf-8"))
+        assert (got["counts"], got["outputs"]) == (want["counts"], want["outputs"])
+        for name in got["outputs"]:
+            assert (leg / stage / name).read_bytes() == (tmp_path / stage / name).read_bytes(), f"{stage}/{name}"
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ import sys
 import warnings
 from itertools import groupby
 from operator import itemgetter
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -153,10 +152,11 @@ class TestParseRecords:
         ]
         stream = io.StringIO("".join(json.dumps(r) + "\n" for r in rows))
         reader = parse_records(stream, Format.GENERIC_JSONL)
+        assert iter(reader) is iter(reader)
         records = list(reader)
         assert [r.paper_id for r in records] == ["p1", "p2", "p3"]
         assert len(records) == 3
-        assert reader.report.rows_skipped == 0
+        assert reader.rows_skipped == 0
         assert records[0].mentions[1].raw == "B"
         assert records[0].fos_terms == frozenset({"ai"})
         assert records[1].mentions == ()
@@ -165,13 +165,13 @@ class TestParseRecords:
         stream = io.StringIO('{"title": "no id", "authors": []}\n{"paper_id": "p1", "authors": []}\n')
         reader = parse_records(stream, Format.GENERIC_JSONL)
         assert [r.paper_id for r in reader] == ["p1"]
-        assert reader.report.rows_skipped == 1
+        assert reader.rows_skipped == 1
 
     def test_bad_json_skipped(self):
         stream = io.StringIO('{"paper_id": "p1", "authors": []}\nnot json at all\n')
         reader = parse_records(stream, Format.GENERIC_JSONL)
         assert len(list(reader)) == 1
-        assert reader.report.rows_skipped == 1
+        assert reader.rows_skipped == 1
 
     @pytest.mark.parametrize("fos", [5, {"a": 1}], ids=["number", "object"])
     def test_fos_neither_text_nor_list_skipped(self, fos):
@@ -184,7 +184,7 @@ class TestParseRecords:
         records = list(reader)
         assert [r.paper_id for r in records] == ["p2", "p3"]
         assert [r.fos_terms for r in records] == [frozenset({"ai", "ml"}), frozenset()]
-        assert reader.report.rows_skipped == 1
+        assert reader.rows_skipped == 1
 
     @pytest.mark.parametrize("item", [None, 5, ["ai"], {"a": 1}, True], ids=["null", "number", "list", "object", "true"])
     def test_fos_list_item_that_is_not_text_skipped(self, item):
@@ -194,7 +194,7 @@ class TestParseRecords:
         ]
         reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
         assert [(r.paper_id, r.fos_terms) for r in reader] == [("p2", frozenset({"ml"}))]
-        assert reader.report.rows_skipped == 1
+        assert reader.rows_skipped == 1
 
     @pytest.mark.parametrize("authors", [{}, False, 0, "", 5], ids=["empty-object", "false", "zero", "empty-string", "number"])
     def test_authors_neither_list_nor_null_skipped(self, authors):
@@ -206,7 +206,7 @@ class TestParseRecords:
         ]
         reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
         assert [(r.paper_id, r.mentions) for r in reader] == [("p2", ()), ("p3", ()), ("p4", ())]
-        assert reader.report.rows_skipped == 1
+        assert reader.rows_skipped == 1
 
     def test_integer_paper_id_and_null_title_kept(self):
         rows = [
@@ -218,7 +218,7 @@ class TestParseRecords:
         records = list(reader)
         assert [(r.paper_id, r.title) for r in records] == [("0", ""), ("1", "T"), ("p2", "")]
         assert records[1].mentions[0].paper_id == "1"
-        assert reader.report.rows_skipped == 0
+        assert reader.rows_skipped == 0
 
     @pytest.mark.parametrize(
         "fields",
@@ -230,7 +230,7 @@ class TestParseRecords:
         rows = [{**fields, "authors": []}, {"paper_id": "q", "title": "Kept", "authors": []}]
         reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
         assert [(r.paper_id, r.title) for r in reader] == [("q", "Kept")]
-        assert reader.report.rows_skipped == 1
+        assert reader.rows_skipped == 1
 
     @pytest.mark.parametrize("author", ["a", 5, True, ["x"]], ids=["string", "number", "true", "list"])
     def test_author_neither_object_nor_empty_skipped(self, author):
@@ -242,7 +242,7 @@ class TestParseRecords:
         (record,) = list(reader)
         assert record.paper_id == "p2"
         assert [m.raw for m in record.mentions] == ["", "", "", "B"]
-        assert reader.report.rows_skipped == 1
+        assert reader.rows_skipped == 1
 
     @pytest.mark.parametrize("affiliation", [["MIT", "Cambridge, USA"], 5, True, {"name": "MIT"}],
                              ids=["list", "number", "true", "object"])
@@ -255,7 +255,7 @@ class TestParseRecords:
         (record,) = list(reader)
         assert record.paper_id == "p2"
         assert [m.raw for m in record.mentions] == ["", "B"]  # a null affiliation is empty
-        assert reader.report.rows_skipped == 1
+        assert reader.rows_skipped == 1
 
     def test_author_index_defaults_to_position(self):
         row = {"paper_id": "p1", "authors": [{"affiliation": "A", "author_index": 3}, {"affiliation": "B"}, None]}
@@ -272,7 +272,7 @@ class TestParseRecords:
         ]
         reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
         assert [r.paper_id for r in reader] == ["p2"]
-        assert reader.report.rows_skipped == 1
+        assert reader.rows_skipped == 1
 
     def test_mag_tsv_mention_raw_preserved(self):
         line = "42\t0\tMcGill University\tSome Paper\t2016\tcomputer science|databases\n"
@@ -306,7 +306,7 @@ class TestParseRecords:
         records = list(reader)
         assert len(records) == 1
         assert len(records[0].mentions) == 1
-        assert reader.report.rows_skipped == 2
+        assert reader.rows_skipped == 2
 
     @pytest.mark.parametrize("fmt", ["mag-tsv", "csv"])
     def test_row_formats_skip_repeated_author_index(self, fmt):
@@ -319,7 +319,7 @@ class TestParseRecords:
         (record,) = list(reader)
         assert [(m.author_index, m.raw) for m in record.mentions] == [(0, "Org A"), (1, "Org B")]
         assert (record.title, record.year) == ("Paper 1", 2000)
-        assert reader.report.rows_skipped == 1
+        assert reader.rows_skipped == 1
 
     @pytest.mark.parametrize("fmt", ["jsonl", "mag-tsv", "csv"])
     def test_duplicate_paper_id_keeps_first_record(self, fmt):
@@ -336,7 +336,7 @@ class TestParseRecords:
         assert (records[0].title, records[0].year) == ("First", 2001)
         assert len(records) == 2
         # A JSONL record is one row; the row formats skip each mention row.
-        assert reader.report.rows_skipped == (1 if fmt == "jsonl" else 2)
+        assert reader.rows_skipped == (1 if fmt == "jsonl" else 2)
 
     def test_year_out_of_range_flagged_invalid(self):
         stream = io.StringIO('{"paper_id": "p", "year": 1492, "authors": []}\n')
@@ -352,14 +352,14 @@ class TestParseRecords:
         stream = io.StringIO(f'{{"paper_id": "p", "year": {year}, "authors": []}}\n')
         reader = parse_records(stream, Format.GENERIC_JSONL)
         assert [r.year for r in reader] == [expected]
-        assert reader.report.rows_skipped == 0
+        assert reader.rows_skipped == 0
 
     @pytest.mark.parametrize("year", ["2001.5", "NaN", "Infinity", "-Infinity", "true", "[2001]", '{"y": 2001}'])
     def test_year_neither_integral_number_text_nor_null_skipped(self, year):
         stream = io.StringIO(f'{{"paper_id": "p", "year": {year}, "authors": []}}\n{{"paper_id": "q", "authors": []}}\n')
         reader = parse_records(stream, Format.GENERIC_JSONL)
         assert [r.paper_id for r in reader] == ["q"]
-        assert reader.report.rows_skipped == 1
+        assert reader.rows_skipped == 1
 
     @pytest.mark.parametrize("doi", [["10.1/x"], 5, True, {"doi": "10.1/x"}], ids=["list", "number", "true", "object"])
     def test_doi_neither_text_nor_null_skipped(self, doi):
@@ -371,7 +371,7 @@ class TestParseRecords:
         ]
         reader = parse_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), Format.GENERIC_JSONL)
         assert [(r.paper_id, r.doi) for r in reader] == [("p2", "10.1/X"), ("p3", None), ("p4", None)]
-        assert reader.report.rows_skipped == 1
+        assert reader.rows_skipped == 1
 
     def test_csv_with_optional_columns(self):
         text = (
@@ -396,11 +396,14 @@ class TestParseRecords:
         with pytest.raises(IngestError):
             parse_records(tmp_path / "missing.jsonl", Format.GENERIC_JSONL)
 
-    def test_byte_stream_accepted(self):
-        data = b'{"paper_id": "p1", "authors": [{"affiliation": "Caf\xc3\xa9 Lab"}]}\n'
-        reader = parse_records(io.BytesIO(data), Format.GENERIC_JSONL)
-        (record,) = list(reader)
-        assert record.mentions[0].raw == "Café Lab"
+    @pytest.mark.parametrize("fmt", ["jsonl", "mag-tsv", "csv"])
+    def test_path_input_leading_byte_order_mark_ignored(self, fmt, tmp_path):
+        rows = [("p1", "0", "Paris, France", "T", "2001", "ai"), ("p2", "0", "Rome, Italy", "T", "2002", "ai")]
+        path = tmp_path / f"input.{fmt}"
+        path.write_text("\ufeff" + _render(fmt, rows), encoding="utf-8")
+        reader = parse_records(path, fmt)
+        assert list(reader) == list(parse_records(io.StringIO(_render(fmt, rows)), fmt))
+        assert reader.rows_skipped == 0
 
     @pytest.mark.parametrize("fmt", ["jsonl", "mag-tsv", "csv"])
     def test_path_input_closed_when_exhausted_or_closed(self, fmt, tmp_path, resource_warnings_fail):
@@ -412,6 +415,9 @@ class TestParseRecords:
         assert next(records).paper_id == "p1"
         records.close()
         del records
+        reader = parse_records(path, fmt)
+        assert next(iter(reader)).paper_id == "p1"
+        del reader  # dropped before its end
         gc.collect()
         assert resource_warnings_fail == []
 
@@ -423,10 +429,8 @@ class TestParseRecords:
         gc.collect()
         assert resource_warnings_fail == []
 
-    @pytest.mark.parametrize("stream_type", [io.StringIO, io.BytesIO])
-    def test_caller_stream_left_open(self, stream_type):
-        text = '{"paper_id": "p1", "authors": []}\n'
-        stream = stream_type(text if stream_type is io.StringIO else text.encode())
+    def test_caller_stream_left_open(self):
+        stream = io.StringIO('{"paper_id": "p1", "authors": []}\n')
         assert len(list(parse_records(stream, Format.GENERIC_JSONL))) == 1
         gc.collect()
         assert not stream.closed
@@ -469,40 +473,10 @@ _FOS_TERMS = st.one_of(
 class TestFosMemo:
     @pytest.mark.parametrize("fmt", ["jsonl", "mag-tsv", "csv"])
     @settings(max_examples=40, deadline=None)
-    @given(papers=st.lists(st.lists(_FOS_TERMS, max_size=6), min_size=1, max_size=6),
-           cap=st.sampled_from([1, 2, ingest_module._FOS_MEMO_SIZE]))
-    def test_memoized_keys_equal_token_key(self, fmt, papers, cap):
-        with mock.patch.object(ingest_module, "_FOS_MEMO_SIZE", cap):
-            records = list(parse_records(io.StringIO(_fos_input(fmt, papers)), fmt))
+    @given(papers=st.lists(st.lists(_FOS_TERMS, max_size=6), min_size=1, max_size=6))
+    def test_memoized_keys_equal_token_key(self, fmt, papers):
+        records = list(parse_records(io.StringIO(_fos_input(fmt, papers)), fmt))
         assert [r.fos_terms for r in records] == [{token_key(t) for t in terms} - {""} for terms in papers]
-
-    def test_memo_is_per_reader_and_capped(self, monkeypatch):
-        memos = []
-        real = ingest_module._parse_fos
-
-        def spy(terms, memo):
-            result = real(terms, memo)
-            assert len(memo) <= 3
-            memos.append(memo)
-            return result
-
-        monkeypatch.setattr(ingest_module, "_FOS_MEMO_SIZE", 3)
-        monkeypatch.setattr(ingest_module, "_parse_fos", spy)
-        alpha = [[f"Alpha {i % 5}", "Alpha"] for i in range(12)]
-        beta = [[f"Beta {i % 4}"] for i in range(12)]
-        first = iter(parse_records(io.StringIO(_fos_input("jsonl", alpha)), "jsonl"))
-        second = iter(parse_records(io.StringIO(_fos_input("mag-tsv", beta)), "mag-tsv"))
-        readers = {}
-        for a_terms, b_terms in zip(alpha, beta):  # interleaved
-            assert next(first).fos_terms == {token_key(t) for t in a_terms}
-            memo_a = readers.setdefault("first", memos[-1])
-            assert next(second).fos_terms == {token_key(t) for t in b_terms}
-            memo_b = readers.setdefault("second", memos[-1])
-            assert all(term.startswith("Alpha") for term in memo_a)
-            assert all(term.startswith("Beta") for term in memo_b)
-        assert memo_a is not memo_b
-        assert {id(m) for m in memos} == {id(memo_a), id(memo_b)}
-        assert len(memos) == 24
 
 
 _FIELD_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=12)
@@ -604,4 +578,4 @@ def test_malformed_rows_are_skipped_and_counted(fmt, rows, data):
         lines.insert(data.draw(st.integers(0, len(lines))), line + "\n")
     reader = parse_records(io.StringIO("".join(header + lines)), fmt)
     assert list(reader) == list(parse_records(io.StringIO(text), fmt))
-    assert reader.report.rows_skipped == len(bad)
+    assert reader.rows_skipped == len(bad)
