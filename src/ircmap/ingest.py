@@ -117,22 +117,20 @@ def normalize_affiliation(raw: str) -> NormalizedAffiliation:
 
     Idempotent: normalizing an already-cleaned string returns it unchanged.
     """
-    text = unicodedata.normalize("NFKC", raw)
-    text = text.casefold()
-    text = _TAB_TOKEN_RE.sub(" ", text)
+    text = unicodedata.normalize("NFKC", raw).casefold()
+    if "#" in text:
+        text = _TAB_TOKEN_RE.sub(" ", text)
     text = _PUNCT_RE.sub(" ", text)
-    segments = tuple(" ".join(part.split()) for part in text.split(","))
-    segments = tuple(s for s in segments if s)
+    segments = tuple([" ".join(words) for part in text.split(",") if (words := part.split())])
     cleaned = ", ".join(segments)
     if cleaned in _NULL_CLEANED:
         return NormalizedAffiliation("", (), (), True)
-    tokens = tuple(tok for seg in segments for tok in seg.split())
-    return NormalizedAffiliation(cleaned, tokens, segments, False)
+    return NormalizedAffiliation(cleaned, tuple(cleaned.replace(",", " ").split()), segments, False)
 
 
 def token_key(text: str) -> str:
     """Comma-free normalized form of ``text``, used as a lookup key."""
-    return " ".join(normalize_affiliation(text).tokens)
+    return normalize_affiliation(text).cleaned.replace(",", "")
 
 
 #: ``token_key`` of an FOS term, remembered for the most recent distinct terms

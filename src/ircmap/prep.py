@@ -10,6 +10,7 @@ which ``parse_records`` reads back as equal records, author indices included.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -73,10 +74,13 @@ def filter_by_fos(
             stats.fos_dropped += 1
 
 
+#: Every run of characters that ``str.isalnum`` rejects; ``_`` is one.
+_NOT_ALNUM_RE = re.compile(r"[\W_]+")
+
+
 def title_year_key(record: BibRecord) -> tuple[str, Optional[int]]:
     """Lowercase alphanumeric-only title plus year."""
-    title = "".join(ch for ch in record.title.casefold() if ch.isalnum())
-    return (title, record.year)
+    return (_NOT_ALNUM_RE.sub("", record.title.casefold()), record.year)
 
 
 def _normalize_doi(doi: str) -> str:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -113,6 +114,7 @@ class Outcome(NamedTuple):
 
 
 _NULL_LIKE = Outcome(Category.NULL_LIKE, None, "", False)
+check_outcome(*_NULL_LIKE[:3])
 
 
 class Resolution(NamedTuple):
@@ -134,17 +136,33 @@ class Resolution(NamedTuple):
     ambiguous: bool
 
 
-def _pick_interpretation(entry: KeyEntry, joined: str) -> Interpretation:
-    """Apply the ambiguity table's preference, flipped by a context marker."""
-    padded = f" {joined} "
-    flip = any(f" {marker} " in padded for marker in entry.context_markers)
-    order = entry.interpretations[1:] + entry.interpretations[:1] if flip else entry.interpretations
-    return order[0]
-
-
-def _match(entry: KeyEntry, interp: Interpretation) -> Outcome:
+def _choice(entry: KeyEntry, interp: Interpretation) -> tuple[Outcome, bool]:
     category = Category.COUNTRY_NAME if interp.kind == "country" else Category.COMPONENT_PART
-    return Outcome(category, interp.iso2, interp.part_name or entry.token, len(entry.interpretations) > 1)
+    outcome = Outcome(category, interp.iso2, interp.part_name or entry.token, len(entry.interpretations) > 1)
+    check_outcome(*outcome[:3])
+    return outcome, interp.abbreviation
+
+
+@lru_cache(maxsize=8)
+def _step1_table(g: Gazetteer) -> dict[str, tuple]:
+    """Map each key of ``g`` to what ``match_step1`` needs of it, checking each outcome once.
+
+    The value is ``(country, preferred, markers, flipped)``: whether any
+    interpretation is a country, the first interpretation's outcome and
+    whether it is a part abbreviation, the key's context markers, and the
+    same pair for the second interpretation when there are markers, else
+    ``None``.
+    """
+    table = {}
+    for key, entry in g.keys.items():
+        interps = entry.interpretations
+        table[key] = (
+            any(i.kind == "country" for i in interps),
+            _choice(entry, interps[0]),
+            entry.context_markers,
+            _choice(entry, interps[1]) if entry.context_markers else None,
+        )
+    return table
 
 
 def match_step1(n: NormalizedAffiliation, g: Gazetteer) -> Optional[Outcome]:
@@ -159,28 +177,37 @@ def match_step1(n: NormalizedAffiliation, g: Gazetteer) -> Optional[Outcome]:
     through the ambiguity table if it is contested.  Otherwise the first
     usable part found wins: a part name, or an abbreviation at a segment end
     or before a number.  ``ambiguous`` is set whenever the ambiguity table
-    decided the outcome.
+    decided the outcome.  A context marker anywhere in the string flips a
+    contested key to its second interpretation.
+
+    The first call with ``g`` builds every key's outcomes and passes each
+    through :func:`check_outcome`, once; no string's outcome is checked here.
     """
-    keys = g.keys
-    joined = " ".join(n.tokens)
+    table = _step1_table(g)
     part = None
     for segment in reversed(n.segments):
         tokens = segment.split()
         last = len(tokens) - 1
         for end in range(last, -1, -1):
             window = tokens[end]
-            entry = keys.get(window)
+            hit = table.get(window)
             for start in range(end - 1, max(end - MAX_WINDOW, -1), -1):
                 window = f"{tokens[start]} {window}"
-                entry = keys.get(window) or entry  # a longer key replaces a shorter one
-            if entry is None:
+                hit = table.get(window) or hit  # a longer key replaces a shorter one
+            if hit is None:
                 continue
-            if any(i.kind == "country" for i in entry.interpretations):
-                return _match(entry, _pick_interpretation(entry, joined))
-            if part is None:
-                interp = _pick_interpretation(entry, joined)
-                if not interp.abbreviation or end == last or tokens[end + 1].isdigit():
-                    part = _match(entry, interp)
+            country, choice, markers, flipped = hit
+            if part is not None and not country:
+                continue
+            if flipped is not None:
+                padded = f" {' '.join(n.tokens)} "
+                if any(f" {marker} " in padded for marker in markers):
+                    choice = flipped
+            outcome, abbreviation = choice
+            if country:
+                return outcome
+            if not abbreviation or end == last or tokens[end + 1].isdigit():
+                part = outcome
     return part
 
 
@@ -288,8 +315,10 @@ def resolve_corpus(
     ``_step2``).  Everything but the lookups runs on the calling thread; with
     ``jobs > 1`` and an online client, each round's lookups run on ``jobs``
     pool threads.  Offline and client-less runs start no pool.  Neither the
-    output nor its order depends on ``jobs``.  Each outcome, from either step,
-    passes :func:`check_outcome` as it enters the memo; every row takes its own from there.
+    output nor its order depends on ``jobs``.  Every row takes its outcome
+    from the memo, and every outcome there has passed :func:`check_outcome`:
+    a step-1 outcome once per gazetteer key, when ``match_step1`` builds the
+    key's table entry, and a step-2 outcome per string, as it enters the memo.
     """
     online = client is not None and client.mode is Mode.ONLINE
     memo: dict[str, Outcome] = {}
@@ -314,7 +343,6 @@ def resolve_corpus(
                 if outcome is None:
                     misses[n.cleaned] = m.raw
                 else:
-                    check_outcome(*outcome[:3])
                     memo[n.cleaned] = outcome
             for key, outcome in _step2(misses, client, lookup).items():
                 check_outcome(*outcome[:3])

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import sys
+import unicodedata
 import warnings
 from itertools import groupby
 from operator import itemgetter
@@ -18,6 +19,7 @@ from ircmap.ingest import (
     NULL_SYNONYMS,
     Format,
     IngestError,
+    NormalizedAffiliation,
     normalize_affiliation,
     parse_records,
     record_line,
@@ -76,6 +78,34 @@ def _with_null_lookalikes(test):
     for raw in reversed(_NULL_LOOKALIKES):
         test = example(raw=raw)(test)
     return test
+
+
+def _reference_normalize_affiliation(raw):
+    """``normalize_affiliation`` written one pass per rule: the reference it must equal, field for field."""
+    text = unicodedata.normalize("NFKC", raw)
+    text = text.casefold()
+    text = ingest_module._TAB_TOKEN_RE.sub(" ", text)
+    text = ingest_module._PUNCT_RE.sub(" ", text)
+    segments = tuple(" ".join(part.split()) for part in text.split(","))
+    segments = tuple(s for s in segments if s)
+    cleaned = ", ".join(segments)
+    if cleaned in ingest_module._NULL_CLEANED:
+        return NormalizedAffiliation("", (), (), True)
+    tokens = tuple(tok for seg in segments for tok in seg.split())
+    return NormalizedAffiliation(cleaned, tokens, segments, False)
+
+
+#: Pieces that each rule of the normalization acts on: the tab token in every
+#: case and width, comma runs, underscores, characters NFKC changes (a
+#: full-width comma, ligatures, superscripts, a Roman numeral) and the null
+#: synonyms.
+_SALT = [
+    "#TAB#", "#tab#", "#Tab#", "＃TAB＃", "＃ｔａｂ＃", "#", "TAB", ",", ",,", " , ,", "_", "__",
+    "，", "ﬁ", "ﬀ", "²", "ⁿ", "Ⅻ", "Ǆ", "ß", " ", "\t", "\u3000", *NULL_SYNONYMS, "NA", "N/A", "(null)",
+]
+_salted_affiliations = st.lists(
+    st.one_of(st.sampled_from(_SALT), st.text(max_size=6)), max_size=12
+).map("".join)
 
 
 class TestNormalizeAffiliation:
@@ -139,6 +169,19 @@ class TestNormalizeAffiliation:
 
     def test_token_key_strips_commas(self):
         assert token_key("Wellington, New Zealand") == "wellington new zealand"
+
+    @given(st.text(max_size=80))
+    @_with_null_lookalikes
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_on_any_text(self, raw):
+        assert normalize_affiliation(raw) == _reference_normalize_affiliation(raw)
+        assert token_key(raw) == " ".join(_reference_normalize_affiliation(raw).tokens)
+
+    @given(_salted_affiliations)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_reference_on_salted_text(self, raw):
+        assert normalize_affiliation(raw) == _reference_normalize_affiliation(raw)
+        assert token_key(raw) == " ".join(_reference_normalize_affiliation(raw).tokens)
 
 
 class TestParseRecords:

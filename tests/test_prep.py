@@ -175,6 +175,16 @@ class TestDedupOverlap:
         b = _record("b", title="the paper a story", year=2000)
         assert title_year_key(a) == title_year_key(b)
 
+    def test_title_key_keeps_the_alphanumerics_of_every_code_point(self):
+        title = "".join(chr(c) for c in range(0x110000) if not 0xD800 <= c < 0xE000)
+        expected = "".join(ch for ch in title.casefold() if ch.isalnum())
+        assert title_year_key(_record("a", title=title, year=2000)) == (expected, 2000)
+
+    @given(st.text())
+    def test_title_key_keeps_exactly_the_alphanumerics(self, title):
+        expected = "".join(ch for ch in title.casefold() if ch.isalnum())
+        assert title_year_key(_record("a", title=title, year=2000)) == (expected, 2000)
+
 
 class TestFilterCoauthored:
     def test_single_author_dropped(self):

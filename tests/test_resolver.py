@@ -10,11 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ircmap.resolver as resolver_module
-from ircmap.gazetteer import build_gazetteer, default_data_dir
+from ircmap.gazetteer import Gazetteer, Interpretation, KeyEntry, build_gazetteer, default_data_dir
 from ircmap.ingest import AffiliationMention, BibRecord, normalize_affiliation, token_key
 from ircmap.resolver import (
     Category,
     Outcome,
+    check_outcome,
     match_step1,
     resolve,
     resolve_corpus,
@@ -228,6 +229,23 @@ class TestMatchStep1AgainstOracle:
         assert match_step1(n, g) == _oracle_match_step1(n, g), n.cleaned
 
 
+@pytest.mark.parametrize("include_extension", [False, True])
+def test_every_key_alone_last_and_before_a_number(include_extension):
+    """Every gazetteer key, in the three places where a part abbreviation
+    counts, matches as the oracle says; one of up to ``MAX_WINDOW`` tokens
+    always matches, with an outcome that passes the check."""
+    g = _gazetteer_for(include_extension)
+    for key in g.keys:
+        for text in (key, f"lab of zzqx, {key}", f"{key} 12345"):
+            n = normalize_affiliation(text)
+            outcome = match_step1(n, g)
+            assert outcome == _oracle_match_step1(n, g), text
+            if len(key.split()) <= resolver_module.MAX_WINDOW:
+                assert outcome is not None, text
+            if outcome is not None:
+                check_outcome(*outcome[:3])
+
+
 class TestWikidataFragments:
     def test_last_segment_first_and_raw_casing(self):
         fragments = wikidata_fragments("Dept. of CS, McGill University#TAB#")
@@ -285,18 +303,21 @@ class TestResolve:
 
 
 class TestResolveCorpus:
-    @pytest.mark.parametrize(
-        "step, broken",
-        [
-            ("match_step1", lambda n, g: Outcome(Category.COUNTRY_NAME, None, "x", False)),
-            ("_step2", lambda misses, client, lookup=map: {
-                cleaned: Outcome(Category.WIKIDATA, "CA", "", False) for cleaned in misses}),
-        ],
-        ids=["step1", "step2"],
-    )
-    def test_every_outcome_is_checked(self, gazetteer, monkeypatch, step, broken):
-        """An outcome that breaks the rule, from either step, stops the run before its row is yielded."""
-        monkeypatch.setattr(resolver_module, step, broken)
+    @pytest.mark.parametrize("step", ["step1", "step2"])
+    def test_every_outcome_is_checked(self, gazetteer, monkeypatch, step):
+        """An outcome that breaks the rule, from either step, stops the run before its row is yielded.
+
+        A gazetteer key's outcome is checked as the key's step-1 entry is
+        built, whether or not a string meets the key; a knowledge-graph
+        outcome as it enters the memo.
+        """
+        if step == "step1":
+            # A country key with no evidence to name.
+            bad = KeyEntry("", (Interpretation("country", "XX"),), frozenset())
+            gazetteer = Gazetteer({}, (), {"elsewhere": bad})
+        else:
+            monkeypatch.setattr(resolver_module, "_step2", lambda misses, client, lookup=map: {
+                cleaned: Outcome(Category.WIKIDATA, "CA", "", False) for cleaned in misses})
         with pytest.raises(ValueError):
             list(resolve_corpus([_record("p1", ["Somewhere"])], gazetteer))
 
@@ -392,6 +413,35 @@ class TestResolveCorpus:
                          "Paris, France", "NA", "McGill University",
                          "McGill University", "zzqx unknown institute", "Cambridge, MA"]
         assert [r.raw for r in resolutions] == [raw for raws in self.CHUNKED_RAWS for raw in raws]
+
+    def test_each_step_runs_once_per_distinct_string(self, gazetteer, monkeypatch):
+        """Normalization runs once per distinct raw string of a chunk; step 1
+        once per distinct non-null cleaned string of the whole run."""
+        normalized, matched = [], []
+        real_normalize, real_match = resolver_module.normalize_affiliation, resolver_module.match_step1
+
+        def normalize(raw):
+            normalized.append(raw)
+            return real_normalize(raw)
+
+        def match(n, g):
+            matched.append(n.cleaned)
+            return real_match(n, g)
+
+        monkeypatch.setattr(resolver_module, "normalize_affiliation", normalize)
+        monkeypatch.setattr(resolver_module, "match_step1", match)
+        monkeypatch.setattr(resolver_module, "_CHUNK_SIZE", 5)
+        chunks = [
+            ["Paris, France", "PARIS, France", "Paris, France", "NA", "(null)"],
+            ["paris ,france", "McGill University", "Paris, France", "N/A", "McGill University"],
+            ["mcgill university", "Atlanta, Georgia", "Tbilisi, Georgia", "Atlanta, Georgia"],
+        ]
+        records = [_record(f"p{i}", raws) for i, raws in enumerate(chunks)]
+        resolutions = list(resolve_corpus(records, gazetteer, None))
+        assert normalized == [raw for raws in chunks for raw in dict.fromkeys(raws)]
+        assert matched == ["paris, france", "mcgill university", "atlanta, georgia", "tbilisi, georgia"]
+        assert [r.iso2 for r in resolutions] == [
+            "FR", "FR", "FR", None, None, "FR", None, "FR", None, None, None, "US", "GE", "US"]
 
     def test_chunked_run_equals_per_mention_resolve(self, gazetteer, make_replay_client, monkeypatch):
         monkeypatch.setattr(resolver_module, "_CHUNK_SIZE", 4)
