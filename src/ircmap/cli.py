@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional
 
 from ircmap import __version__
-from ircmap.gazetteer import LABELS_FILE, GazetteerError, build_gazetteer, default_data_dir, table_paths
+from ircmap.gazetteer import LABELS_FILE, GazetteerError, build_gazetteer, default_data_dir
 from ircmap.ingest import Format, IngestError, parse_records, record_line
 from ircmap.metrics import ConsistencyError, MentionCountry, collapse_to_papers, compute_irc
 from ircmap.prep import DedupIndex, PrepStats, compute_fos_filter, dedup_overlap, filter_by_fos, filter_coauthored
@@ -260,7 +260,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
         _warn_skipped(in_path, reader)
         manifest_counts = write_breakdown(out.stage, counts)
         manifest_counts["cache_entries"] = cache_entries
-        out.commit(args, [in_path, *table_paths(data_dir, args.extended_parts)], manifest_counts)
+        out.commit(args, [in_path, *gazetteer.tables, data_dir / LABELS_FILE], manifest_counts)
     print(f"resolved {manifest_counts['mentions']} mentions -> {out.out_dir}")
     return 0
 

@@ -1,7 +1,7 @@
 """Static reference tables and lookups for country and sub-national place names.
 
-The gazetteer is loaded from plain-text tables (UTF-8, tab-separated, ``#``
-comments):
+The gazetteer is loaded from plain-text tables (UTF-8, a leading byte order
+mark ignored, tab-separated, ``#`` comments):
 
 * ``countries.tsv`` -- ``iso2<TAB>canonical_name<TAB>alias1|alias2|...``
 * ``component_parts.tsv`` -- ``part_name<TAB>abbrev1|...<TAB>parent_iso2``
@@ -16,9 +16,11 @@ comments):
 
 All names and aliases are normalized at load time with the same rules applied
 to affiliation strings, so lookups take normalized, comma-free token strings.
-A key with two meanings (two countries, two parts, or a country and a part)
-aborts the build, naming the key and both lines, unless an ambiguity entry
-claims it.
+Each fact is kept once: every normalized key maps to the meanings it has,
+each country code to its canonical name, and the gazetteer lists the table
+files it read.  A key with two meanings (two countries, two parts, or a
+country and a part) aborts the build, naming the key and both lines, unless
+an ambiguity entry claims it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import Mapping, Optional
 from ircmap.ingest import token_key
 
 __all__ = [
-    "ComponentPartEntry",
     "CountryEntry",
     "Gazetteer",
     "GazetteerError",
@@ -40,7 +41,6 @@ __all__ = [
     "KeyEntry",
     "build_gazetteer",
     "default_data_dir",
-    "table_paths",
 ]
 
 COUNTRIES_FILE = "countries.tsv"
@@ -56,27 +56,18 @@ class GazetteerError(Exception):
 
 @dataclass(frozen=True)
 class CountryEntry:
-    iso2: str
     canonical_name: str
 
 
 @dataclass(frozen=True)
-class ComponentPartEntry:
-    part_name: str
-    abbreviations: frozenset[str]
-    parent_iso2: str
-
-
-@dataclass(frozen=True)
 class Interpretation:
-    """One meaning of a key.
+    """One meaning of a key: the country ``iso2`` or, when ``part_name`` is set, that part of it.
 
     ``abbreviation`` is set for a part matched by one of its abbreviations
     rather than its name; the matcher accepts those only at the end of a
     segment or before a number.
     """
 
-    kind: str  # "country" or "part"
     iso2: str
     part_name: Optional[str] = None
     abbreviation: bool = False
@@ -84,13 +75,12 @@ class Interpretation:
 
 @dataclass(frozen=True)
 class KeyEntry:
-    """Everything a normalized key can mean, in preference order.
+    """Everything the key that maps to it can mean, in preference order.
 
     Plain keys have one interpretation and no markers; entries of the
     ambiguity table have two or more.
     """
 
-    token: str
     interpretations: tuple[Interpretation, ...]
     context_markers: frozenset[str]
 
@@ -100,19 +90,15 @@ def default_data_dir() -> Path:
     return Path(str(importlib.resources.files("ircmap") / "data"))
 
 
-def table_paths(data_dir: Path | str, include_extension: bool = False) -> list[Path]:
-    """Every table a ``resolve`` run reads under ``data_dir``, the labels table last."""
-    extension = [PARTS_EXTENSION_FILE] if include_extension else []
-    names = [COUNTRIES_FILE, PARTS_FILE, *extension, AMBIGUITY_FILE, LABELS_FILE]
-    return [Path(data_dir) / name for name in names]
-
-
 def _read_table(path: Path, n_fields_min: int, n_fields_max: int):
-    """Yield (line_number, fields) for each non-comment line of a table."""
+    """Yield (line_number, fields) for each non-comment line of a table.
+
+    A byte order mark at the start of the file is not part of its first line.
+    """
     if not path.is_file():
         raise GazetteerError(f"{path}: missing table file")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise GazetteerError(f"{path}: unreadable table file: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -130,11 +116,13 @@ def _read_table(path: Path, n_fields_min: int, n_fields_max: int):
 class Gazetteer:
     """Immutable place-name tables; safe for unrestricted concurrent reads.
 
-    ``keys`` maps every normalized key to its :class:`KeyEntry`: the
-    ambiguity table's entries as they are, and every other country or part
-    key with its one interpretation.  ``country_key_map``, ``part_key_map``
-    and ``ambiguity`` are read-only views that split the same keys three
-    ways: a plain country key to its ISO code, a plain part key to
+    ``countries`` maps each ISO code to its :class:`CountryEntry`.  ``keys``
+    maps every normalized key to its :class:`KeyEntry`: the ambiguity
+    table's entries as they are, and every other country or part key with
+    its one interpretation.  ``tables`` lists the table files the gazetteer
+    was built from, in the order they were read.  ``country_key_map``,
+    ``part_key_map`` and ``ambiguity`` are read-only views that split the
+    keys three ways: a plain country key to its ISO code, a plain part key to
     ``(parent_iso2, part_name, abbreviation)``, and a contested key to its
     entry.
     """
@@ -142,18 +130,18 @@ class Gazetteer:
     def __init__(
         self,
         countries: dict[str, CountryEntry],
-        parts: tuple[ComponentPartEntry, ...],
         keys: dict[str, KeyEntry],
+        tables: tuple[Path, ...],
     ):
         self.countries: Mapping[str, CountryEntry] = MappingProxyType(countries)
-        self.parts = parts
         self.keys: Mapping[str, KeyEntry] = MappingProxyType(keys)
+        self.tables = tables
         plain = {k: e.interpretations[0] for k, e in keys.items() if len(e.interpretations) == 1}
         self.country_key_map: Mapping[str, str] = MappingProxyType(
-            {k: i.iso2 for k, i in plain.items() if i.kind == "country"}
+            {k: i.iso2 for k, i in plain.items() if i.part_name is None}
         )
         self.part_key_map: Mapping[str, tuple[str, str, bool]] = MappingProxyType(
-            {k: (i.iso2, i.part_name, i.abbreviation) for k, i in plain.items() if i.kind == "part"}
+            {k: (i.iso2, i.part_name, i.abbreviation) for k, i in plain.items() if i.part_name is not None}
         )
         self.ambiguity: Mapping[str, KeyEntry] = MappingProxyType(
             {k: e for k, e in keys.items() if len(e.interpretations) > 1}
@@ -170,16 +158,18 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
     that no ambiguity entry claims (naming the key and both lines).
     """
     data_dir = Path(data_dir)
-    # key -> {(kind, iso2, part_name): (interpretation, "file:line")}; the
-    # first claim of a meaning wins.
+    countries_path, ambiguity_path = data_dir / COUNTRIES_FILE, data_dir / AMBIGUITY_FILE
+    part_files = [data_dir / PARTS_FILE]
+    if include_extension:
+        part_files.append(data_dir / PARTS_EXTENSION_FILE)
+    # key -> {(iso2, part_name): (interpretation, "file:line")}; the first
+    # claim of a meaning wins.
     meanings: dict[str, dict[tuple, tuple[Interpretation, str]]] = {}
 
     def claim(key: str, interp: Interpretation, origin: str) -> None:
-        meaning = (interp.kind, interp.iso2, interp.part_name)
-        meanings.setdefault(key, {}).setdefault(meaning, (interp, origin))
+        meanings.setdefault(key, {}).setdefault((interp.iso2, interp.part_name), (interp, origin))
 
     countries: dict[str, CountryEntry] = {}
-    countries_path = data_dir / COUNTRIES_FILE
     for lineno, fields in _read_table(countries_path, 2, 3):
         iso2 = fields[0].strip().upper()
         canonical = fields[1].strip()
@@ -195,15 +185,12 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
         names.discard("")
         if not names:
             raise GazetteerError(f"{countries_path}:{lineno}: no usable name for {iso2}")
-        interp, origin = Interpretation("country", iso2), f"{COUNTRIES_FILE}:{lineno}"
+        interp, origin = Interpretation(iso2), f"{COUNTRIES_FILE}:{lineno}"
         for key in sorted(names):
             claim(key, interp, origin)
-        countries[iso2] = CountryEntry(iso2, canonical)
+        countries[iso2] = CountryEntry(canonical)
 
-    parts: list[ComponentPartEntry] = []
-    part_files = [data_dir / PARTS_FILE]
-    if include_extension:
-        part_files.append(data_dir / PARTS_EXTENSION_FILE)
+    loaded_parts: set[tuple[str, str]] = set()
     for path in part_files:
         for lineno, fields in _read_table(path, 3, 3):
             part_name = fields[0].strip()
@@ -215,22 +202,17 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
                 raise GazetteerError(
                     f"{path}:{lineno}: parent country {parent!r} not in the country table"
                 )
-            entry = ComponentPartEntry(
-                part_name, frozenset(token_key(a) for a in abbrevs), parent
-            )
-            parts.append(entry)
+            loaded_parts.add((parent, part_name))
             keyed = [(token_key(part_name), False)]
             keyed += [(token_key(a), True) for a in abbrevs]
             origin = f"{path.name}:{lineno}"
             for key, is_abbrev in keyed:
                 if not key:
                     raise GazetteerError(f"{path}:{lineno}: empty key for part {part_name!r}")
-                claim(key, Interpretation("part", parent, part_name, is_abbrev), origin)
-    loaded_parts = {(p.parent_iso2, p.part_name) for p in parts}
+                claim(key, Interpretation(parent, part_name, is_abbrev), origin)
 
     # The ambiguity table's entries go in first and own their key.
     keys: dict[str, KeyEntry] = {}
-    ambiguity_path = data_dir / AMBIGUITY_FILE
     for lineno, fields in _read_table(ambiguity_path, 2, 3):
         token = token_key(fields[0])
         if not token:
@@ -249,7 +231,7 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
                     raise GazetteerError(
                         f"{ambiguity_path}:{lineno}: unknown country code {iso2!r}"
                     )
-                interps.append(Interpretation("country", iso2))
+                interps.append(Interpretation(iso2))
             elif pieces[0] == "part" and len(pieces) == 3:
                 iso2 = pieces[1].strip().upper()
                 name = pieces[2].strip()
@@ -257,7 +239,7 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
                     # Interpretations pointing at a table that is not loaded
                     # (e.g. the extension file) are dropped, not fatal.
                     continue
-                interps.append(Interpretation("part", iso2, name, token != token_key(name)))
+                interps.append(Interpretation(iso2, name, token != token_key(name)))
             else:
                 raise GazetteerError(
                     f"{ambiguity_path}:{lineno}: bad interpretation {item!r}"
@@ -267,7 +249,7 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
         markers = frozenset(
             token_key(m) for m in (fields[2].split("|") if len(fields) == 3 else []) if m.strip()
         ) - {""}
-        keys[token] = KeyEntry(token, tuple(interps), markers)
+        keys[token] = KeyEntry(tuple(interps), markers)
 
     # Any other key with two meanings, within a table or across tables, must
     # be disambiguated explicitly.
@@ -282,5 +264,5 @@ def build_gazetteer(data_dir: Path | str, include_extension: bool = False) -> Ga
                 "add an ambiguity entry or remove one"
             )
         ((interp, _),) = claims.values()
-        keys[key] = KeyEntry(key, (interp,), frozenset())
-    return Gazetteer(countries, tuple(parts), keys)
+        keys[key] = KeyEntry((interp,), frozenset())
+    return Gazetteer(countries, keys, (countries_path, *part_files, ambiguity_path))

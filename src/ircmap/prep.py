@@ -97,7 +97,8 @@ class DedupIndex:
     Matching is by normalized title + year, upgraded to DOI equality when
     both records carry a DOI (same title/year but different DOIs are treated
     as distinct papers).  A record whose normalized title is empty has no
-    title key and matches only by DOI.
+    title key and matches only by DOI.  A DOI that normalizes to empty (a
+    bare ``doi:`` or ``https://doi.org/``) counts as no DOI.
     """
 
     def __init__(self):
@@ -110,15 +111,16 @@ class DedupIndex:
         index = cls()
         for record in records:
             key = title_year_key(record)
-            if record.doi:
-                index.dois.add(_normalize_doi(record.doi))
+            doi = _normalize_doi(record.doi) if record.doi else ""
+            if doi:
+                index.dois.add(doi)
             if key[0]:
-                (index.title_year_with_doi if record.doi else index.title_year_plain).add(key)
+                (index.title_year_with_doi if doi else index.title_year_plain).add(key)
         return index
 
     def matches(self, record: BibRecord) -> bool:
-        doi = _normalize_doi(record.doi) if record.doi else None
-        if doi and doi in self.dois:
+        doi = _normalize_doi(record.doi) if record.doi else ""
+        if doi in self.dois:
             return True
         key = title_year_key(record)
         if key in self.title_year_plain:
@@ -126,7 +128,7 @@ class DedupIndex:
         if key in self.title_year_with_doi:
             # Both sides carry DOIs for this title/year: equality decides,
             # and unequal DOIs were already ruled out above.
-            return doi is None
+            return not doi
         return False
 
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from ircmap.gazetteer import Gazetteer, Interpretation, KeyEntry
+from ircmap.gazetteer import Gazetteer, Interpretation
 from ircmap.ingest import (
     _TAB_TOKEN_RE,
     AffiliationMention,
@@ -136,9 +136,9 @@ class Resolution(NamedTuple):
     ambiguous: bool
 
 
-def _choice(entry: KeyEntry, interp: Interpretation) -> tuple[Outcome, bool]:
-    category = Category.COUNTRY_NAME if interp.kind == "country" else Category.COMPONENT_PART
-    outcome = Outcome(category, interp.iso2, interp.part_name or entry.token, len(entry.interpretations) > 1)
+def _choice(key: str, interp: Interpretation, ambiguous: bool) -> tuple[Outcome, bool]:
+    category = Category.COUNTRY_NAME if interp.part_name is None else Category.COMPONENT_PART
+    outcome = Outcome(category, interp.iso2, interp.part_name or key, ambiguous)
     check_outcome(*outcome[:3])
     return outcome, interp.abbreviation
 
@@ -156,11 +156,12 @@ def _step1_table(g: Gazetteer) -> dict[str, tuple]:
     table = {}
     for key, entry in g.keys.items():
         interps = entry.interpretations
+        ambiguous = len(interps) > 1
         table[key] = (
-            any(i.kind == "country" for i in interps),
-            _choice(entry, interps[0]),
+            any(i.part_name is None for i in interps),
+            _choice(key, interps[0], ambiguous),
             entry.context_markers,
-            _choice(entry, interps[1]) if entry.context_markers else None,
+            _choice(key, interps[1], ambiguous) if entry.context_markers else None,
         )
     return table
 

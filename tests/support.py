@@ -18,11 +18,11 @@ QUERY_TEMPLATE_FILE = FIXTURES_DIR / "country_query_template.sparql"
 
 
 def preferred(gazetteer, key, kind):
-    """The most preferred ``kind`` interpretation of ``key``, or None."""
+    """The most preferred ``kind`` (``"country"`` or ``"part"``) interpretation of ``key``, or None."""
     entry = gazetteer.keys.get(key)
     if entry is None:
         return None
-    return next((i for i in entry.interpretations if i.kind == kind), None)
+    return next((i for i in entry.interpretations if (i.part_name is None) == (kind == "country")), None)
 
 
 #: The Wikipedia title, still percent-encoded, that a country query asks about.

@@ -15,6 +15,7 @@ from itertools import combinations
 import pytest
 
 from ircmap.cli import main
+from ircmap.gazetteer import PARTS_FILE
 from ircmap.ingest import AffiliationMention, BibRecord, token_key
 from ircmap.metrics import PaperCountrySet, compute_irc
 from ircmap.resolver import Category, resolve, resolve_corpus
@@ -176,14 +177,17 @@ def test_gazetteer_completeness(gazetteer, data_dir):
         assert hit is not None and hit.iso2 == iso2, entry.canonical_name
     assert len(gazetteer.countries) >= 193
 
-    us_parts = [p for p in gazetteer.parts if p.parent_iso2 == "US"]
-    state_names = {p.part_name for p in us_parts}
+    # The US rows, recounted from the table file.
+    lines = (data_dir / PARTS_FILE).read_text(encoding="utf-8").splitlines()
+    rows = [line.split("\t") for line in lines if line.strip() and not line.startswith("#")]
+    us_parts = [(name.strip(), abbrevs) for name, abbrevs, parent in rows if parent.strip() == "US"]
+    state_names = {name for name, _ in us_parts}
     assert len(state_names) == 51  # 50 states + DC
-    for part in us_parts:
-        hit = preferred(gazetteer, token_key(part.part_name), "part")
-        assert hit is not None and hit.iso2 == "US", part.part_name
-        usps = sorted(a for a in part.abbreviations if len(a) == 2)
-        assert usps, f"{part.part_name} lacks a USPS code"
+    for name, abbrevs in us_parts:
+        hit = preferred(gazetteer, token_key(name), "part")
+        assert hit is not None and hit.iso2 == "US", name
+        usps = sorted(key for key in {token_key(a) for a in abbrevs.split("|")} if len(key) == 2)
+        assert usps, f"{name} lacks a USPS code"
         for code in usps:
             hit = preferred(gazetteer, code, "part")
             assert hit is not None and hit.iso2 == "US", code

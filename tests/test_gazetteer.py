@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ircmap.gazetteer as gazetteer_module
 from ircmap.gazetteer import (
     AMBIGUITY_FILE,
     COUNTRIES_FILE,
+    LABELS_FILE,
     PARTS_EXTENSION_FILE,
     PARTS_FILE,
-    ComponentPartEntry,
     CountryEntry,
     GazetteerError,
     Interpretation,
@@ -23,6 +24,7 @@ from ircmap.gazetteer import (
     build_gazetteer,
 )
 from ircmap.ingest import token_key
+from ircmap.wikidata import LabelMap
 
 from support import preferred
 
@@ -38,15 +40,20 @@ def _table_rows(path):
 class TestBuild:
     def test_entry_counts_match_independent_file_recount(self, gazetteer, data_dir):
         country_rows = _table_rows(data_dir / COUNTRIES_FILE)
-        part_rows = _table_rows(data_dir / PARTS_FILE)
+        rows = _table_rows(data_dir / PARTS_FILE)
+        part_rows = {(parent.strip(), name.strip()) for name, _, parent in rows}
         assert len(gazetteer.countries) == len(country_rows)
-        assert len(gazetteer.parts) == len(part_rows)
+        assert len(part_rows) == len(rows)
+        keyed_parts = {
+            (i.iso2, i.part_name)
+            for entry in gazetteer.keys.values()
+            for i in entry.interpretations
+            if i.part_name is not None
+        }
+        assert keyed_parts == part_rows
         assert len(gazetteer.countries) >= 193
-        us_parts = [p for p in gazetteer.parts if p.parent_iso2 == "US"]
-        gb_parts = [p for p in gazetteer.parts if p.parent_iso2 == "GB"]
-        assert len(us_parts) >= 51
-        assert len(gb_parts) == 4
-        assert {p.part_name for p in gb_parts} == {
+        assert len([name for parent, name in part_rows if parent == "US"]) >= 51
+        assert {name for parent, name in part_rows if parent == "GB"} == {
             "England", "Scotland", "Wales", "Northern Ireland",
         }
 
@@ -55,7 +62,7 @@ class TestBuild:
         assert len(us_rows) == 1
         aliases = us_rows[0][2].split("|")
         assert "USA" in aliases
-        assert gazetteer.keys["usa"].interpretations == (Interpretation("country", "US"),)
+        assert gazetteer.keys["usa"].interpretations == (Interpretation("US"),)
 
     def test_missing_parts_file_is_fatal(self, data_dir, tmp_path):
         work = tmp_path / "tables"
@@ -100,6 +107,43 @@ class TestBuild:
         assert dict(first.part_key_map) == dict(second.part_key_map)
         assert set(first.ambiguity) == set(second.ambiguity)
         assert dict(first.keys) == dict(second.keys)
+
+    @pytest.mark.parametrize("include_extension", [False, True])
+    def test_tables_lists_exactly_the_files_read(self, data_dir, monkeypatch, include_extension):
+        read = []
+
+        def recording(path, *fields):
+            read.append(path)
+            return _read_table(path, *fields)
+
+        monkeypatch.setattr(gazetteer_module, "_read_table", recording)
+        g = build_gazetteer(data_dir, include_extension)
+        extension = [PARTS_EXTENSION_FILE] if include_extension else []
+        assert list(g.tables) == read
+        assert read == [data_dir / name for name in [COUNTRIES_FILE, PARTS_FILE, *extension, AMBIGUITY_FILE]]
+
+    @pytest.mark.parametrize("comments", [True, False])
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, data_dir, tmp_path, comments):
+        """BOM-prefixed copies of all five tables build what the tables do.
+
+        Without the comment lines, the mark sits before a data row.
+        """
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir()
+        marked.mkdir()
+        for name in [COUNTRIES_FILE, PARTS_FILE, PARTS_EXTENSION_FILE, AMBIGUITY_FILE, LABELS_FILE]:
+            lines = (data_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
+            text = "".join(line for line in lines if comments or not line.startswith("#"))
+            (plain / name).write_text(text, encoding="utf-8")
+            (marked / name).write_text("\ufeff" + text, encoding="utf-8")
+        built = []
+        for work in (plain, marked):
+            g = build_gazetteer(work, include_extension=True)
+            labels = LabelMap.from_gazetteer(g, work / LABELS_FILE)
+            built.append((dict(g.countries), dict(g.keys), dict(g.country_key_map),
+                          dict(g.part_key_map), dict(g.ambiguity), labels._by_key))
+        assert built[0] == built[1]
+        assert built[0][1] == dict(build_gazetteer(data_dir, include_extension=True).keys)
 
 
 def _write_tables(work, countries="", parts="", extension=None, ambiguity=""):
@@ -167,8 +211,7 @@ class TestConflictMessages:
         )
         g = build_gazetteer(work)
         assert g.keys["georgia"] == KeyEntry(
-            "georgia",
-            (Interpretation("country", "GE"), Interpretation("part", "US", "Georgia")),
+            (Interpretation("GE"), Interpretation("US", "Georgia")),
             frozenset({"atlanta"}),
         )
         assert dict(g.ambiguity) == {"georgia": g.keys["georgia"]}
@@ -180,7 +223,7 @@ def _oracle_build(data_dir, include_extension=False):
 
     It checks conflicts within each table, then across the two tables, and
     pops the ambiguity table's tokens from the plain maps.  Returns
-    ``(countries, parts, country_keys, part_keys, ambiguity, keys)``.
+    ``(countries, country_keys, part_keys, ambiguity, keys)``.
     """
     conflicts = {}
     countries, country_keys = {}, {}
@@ -201,7 +244,7 @@ def _oracle_build(data_dir, include_extension=False):
                 conflicts[key] = "country conflict"
                 continue
             country_keys[key] = iso2
-        countries[iso2] = CountryEntry(iso2, canonical)
+        countries[iso2] = CountryEntry(canonical)
 
     parts, part_keys = [], {}
     part_files = [data_dir / PARTS_FILE] + ([data_dir / PARTS_EXTENSION_FILE] if include_extension else [])
@@ -212,7 +255,7 @@ def _oracle_build(data_dir, include_extension=False):
             parent = fields[2].strip().upper()
             if not part_name or parent not in countries:
                 raise GazetteerError(f"bad part line {lineno}")
-            parts.append(ComponentPartEntry(part_name, frozenset(token_key(a) for a in abbrevs), parent))
+            parts.append((parent, part_name))
             keyed = [(token_key(part_name), False)] + [(token_key(a), True) for a in abbrevs]
             for key, is_abbrev in keyed:
                 if not key:
@@ -239,12 +282,12 @@ def _oracle_build(data_dir, include_extension=False):
                 iso2 = pieces[1].strip().upper()
                 if iso2 not in countries:
                     raise GazetteerError(f"unknown country on line {lineno}")
-                interps.append(Interpretation("country", iso2))
+                interps.append(Interpretation(iso2))
             elif pieces[0] == "part" and len(pieces) == 3:
                 iso2 = pieces[1].strip().upper()
                 name = pieces[2].strip()
-                if any(p.part_name == name and p.parent_iso2 == iso2 for p in parts):
-                    interps.append(Interpretation("part", iso2, name, token != token_key(name)))
+                if (iso2, name) in parts:
+                    interps.append(Interpretation(iso2, name, token != token_key(name)))
             else:
                 raise GazetteerError(f"bad interpretation on line {lineno}")
         if len(interps) < 2:
@@ -252,18 +295,18 @@ def _oracle_build(data_dir, include_extension=False):
         markers = frozenset(
             token_key(m) for m in (fields[2].split("|") if len(fields) == 3 else []) if m.strip()
         ) - {""}
-        ambiguity[token] = KeyEntry(token, tuple(interps), markers)
+        ambiguity[token] = KeyEntry(tuple(interps), markers)
 
     if set(conflicts) - set(ambiguity) or (set(country_keys) & set(part_keys)) - set(ambiguity):
         raise GazetteerError("duplicate key not covered by the ambiguity table")
     for token in ambiguity:
         country_keys.pop(token, None)
         part_keys.pop(token, None)
-    keys = {key: KeyEntry(key, (Interpretation("country", iso2),), frozenset()) for key, iso2 in country_keys.items()}
+    keys = {key: KeyEntry((Interpretation(iso2),), frozenset()) for key, iso2 in country_keys.items()}
     for key, (parent, part_name, is_abbrev) in part_keys.items():
-        keys[key] = KeyEntry(key, (Interpretation("part", parent, part_name, is_abbrev),), frozenset())
+        keys[key] = KeyEntry((Interpretation(parent, part_name, is_abbrev),), frozenset())
     keys.update(ambiguity)
-    return countries, tuple(parts), country_keys, part_keys, ambiguity, keys
+    return countries, country_keys, part_keys, ambiguity, keys
 
 
 #: A vocabulary small enough that names, aliases, abbreviations and
@@ -311,9 +354,8 @@ class TestAgainstOracle:
                     build_gazetteer(work, include_extension)
                 return
             g = build_gazetteer(work, include_extension)
-        countries_, parts_, country_keys, part_keys, ambiguity_, keys = expected
+        countries_, country_keys, part_keys, ambiguity_, keys = expected
         assert dict(g.countries) == countries_
-        assert g.parts == parts_
         assert dict(g.country_key_map) == country_keys
         assert dict(g.part_key_map) == part_keys
         assert dict(g.ambiguity) == ambiguity_
@@ -322,27 +364,27 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("include_extension", [False, True])
     def test_shipped_tables_equal_the_oracle(self, data_dir, include_extension):
         g = build_gazetteer(data_dir, include_extension)
-        countries, parts, country_keys, part_keys, ambiguity, keys = _oracle_build(data_dir, include_extension)
-        assert (dict(g.countries), g.parts) == (countries, parts)
+        countries, country_keys, part_keys, ambiguity, keys = _oracle_build(data_dir, include_extension)
+        assert dict(g.countries) == countries
         assert (dict(g.country_key_map), dict(g.part_key_map)) == (country_keys, part_keys)
         assert (dict(g.ambiguity), dict(g.keys)) == (ambiguity, keys)
 
 
 class TestLookups:
     def test_canonical_name_identity(self, gazetteer):
-        assert gazetteer.keys["canada"].interpretations == (Interpretation("country", "CA"),)
+        assert gazetteer.keys["canada"].interpretations == (Interpretation("CA"),)
 
     def test_institution_is_not_a_country(self, gazetteer):
         assert "mcgill university" not in gazetteer.keys
 
     def test_uk_nation_resolves_to_gb(self, gazetteer):
         assert gazetteer.keys["scotland"].interpretations == (
-            Interpretation("part", "GB", "Scotland"),
+            Interpretation("GB", "Scotland"),
         )
 
     def test_usps_code(self, gazetteer):
         assert gazetteer.keys["ma"].interpretations == (
-            Interpretation("part", "US", "Massachusetts", abbreviation=True),
+            Interpretation("US", "Massachusetts", abbreviation=True),
         )
 
     def test_absent_token(self, gazetteer):
@@ -350,8 +392,8 @@ class TestLookups:
 
     def test_ambiguous_token_prefers_country(self, gazetteer):
         assert gazetteer.keys["georgia"].interpretations == (
-            Interpretation("country", "GE"),
-            Interpretation("part", "US", "Georgia"),
+            Interpretation("GE"),
+            Interpretation("US", "Georgia"),
         )
 
 
@@ -362,27 +404,26 @@ class TestInvariants:
             assert hit is not None, entry.canonical_name
             assert hit.iso2 == iso2
 
-    def test_every_part_name_and_abbreviation_resolves(self, gazetteer):
-        for part in gazetteer.parts:
-            keys = {token_key(part.part_name)} | set(part.abbreviations)
+    def test_every_part_name_and_abbreviation_resolves(self, gazetteer, data_dir):
+        for name, abbrevs, parent in _table_rows(data_dir / PARTS_FILE):
+            keys = {token_key(name)} | {token_key(a) for a in abbrevs.split("|") if a.strip()}
             for key in keys:
                 hit = preferred(gazetteer, key, "part")
                 assert hit is not None, key
-                assert hit.iso2 == part.parent_iso2
+                assert hit.iso2 == parent.strip()
 
     @pytest.mark.parametrize("include_extension", [False, True])
     def test_abbreviation_flag_marks_keys_other_than_the_name(self, data_dir, include_extension):
         g = build_gazetteer(data_dir, include_extension=include_extension)
         for key, entry in g.keys.items():
             for interp in entry.interpretations:
-                expected = interp.kind == "part" and key != token_key(interp.part_name)
+                expected = interp.part_name is not None and key != token_key(interp.part_name)
                 assert interp.abbreviation == expected, (key, interp)
 
     def test_known_tokens_never_vanish(self, gazetteer):
         known = set(gazetteer.country_key_map) | set(gazetteer.part_key_map) | set(gazetteer.ambiguity)
         assert set(gazetteer.keys) == known
         for token, entry in gazetteer.keys.items():
-            assert entry.token == token
             assert entry.interpretations, token
             assert (len(entry.interpretations) > 1) == (token in gazetteer.ambiguity), token
 
@@ -393,9 +434,5 @@ class TestInvariants:
     def test_extension_adds_wa_ambiguity(self, data_dir):
         extended = build_gazetteer(data_dir, include_extension=True)
         assert "wa" in extended.ambiguity
-        assert preferred(extended, "wa", "part") == Interpretation(
-            "part", "US", "Washington", abbreviation=True
-        )
-        assert preferred(extended, "nsw", "part") == Interpretation(
-            "part", "AU", "New South Wales", abbreviation=True
-        )
+        assert preferred(extended, "wa", "part") == Interpretation("US", "Washington", abbreviation=True)
+        assert preferred(extended, "nsw", "part") == Interpretation("AU", "New South Wales", abbreviation=True)

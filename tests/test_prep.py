@@ -145,6 +145,18 @@ class TestDedupOverlap:
         kept = list(dedup_overlap([_record("p1", title="Retitled", year=2012, doi="10.1/x")], secondary))
         assert kept == []
 
+    @pytest.mark.parametrize("empty", ["https://doi.org/", "doi:", " DOI: "])
+    def test_doi_that_normalizes_to_empty_is_no_doi(self, empty):
+        """Such a DOI matches nothing by DOI and leaves title + year to decide, on either side."""
+        title = dict(title="Deep Nets", year=2001)
+        secondary = DedupIndex.from_records([_record("s1", doi=empty, **title)])
+        assert list(dedup_overlap([_record("p1", doi="10.1/x", **title)], secondary)) == []
+        assert list(dedup_overlap([_record("p2", doi=empty, title="Other", year=2001)], secondary)) != []
+
+        secondary = DedupIndex.from_records([_record("s1", doi="10.1/x", **title)])
+        for doi in (empty, None):
+            assert list(dedup_overlap([_record("p1", doi=doi, **title)], secondary)) == []
+
     def test_seven_known_overlaps_dropped(self):
         secondary_records = [_record(f"s{i}", title=f"Overlap {i}", year=2000 + i) for i in range(7)]
         secondary_records.append(_record("s-extra", title="Secondary Only", year=1999))

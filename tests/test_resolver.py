@@ -121,13 +121,13 @@ def _oracle_match_step1(n, g):
     def has_country_key(token):
         entry = g.ambiguity.get(token)
         if entry is not None:
-            return any(i.kind == "country" for i in entry.interpretations)
+            return any(i.part_name is None for i in entry.interpretations)
         return token in g.country_key_map
 
     def has_part_key(token):
         entry = g.ambiguity.get(token)
         if entry is not None:
-            return any(i.kind == "part" for i in entry.interpretations)
+            return any(i.part_name is not None for i in entry.interpretations)
         return token in g.part_key_map
 
     def part_is_abbreviation(token, part_name):
@@ -163,7 +163,7 @@ def _oracle_match_step1(n, g):
                 continue
             if c_win in g.ambiguity:
                 interp = pick_interpretation(c_win, joined)
-                if interp.kind == "country":
+                if interp.part_name is None:
                     return Outcome(Category.COUNTRY_NAME, interp.iso2, c_win, True)
                 return Outcome(
                     Category.COMPONENT_PART, interp.iso2, interp.part_name or c_win, True
@@ -178,7 +178,7 @@ def _oracle_match_step1(n, g):
             ambiguous = p_win in g.ambiguity
             if ambiguous:
                 interp = pick_interpretation(p_win, joined)
-                if interp.kind != "part":
+                if interp.part_name is None:
                     continue
                 parent, part_name = interp.iso2, interp.part_name or p_win
             else:
@@ -313,8 +313,8 @@ class TestResolveCorpus:
         """
         if step == "step1":
             # A country key with no evidence to name.
-            bad = KeyEntry("", (Interpretation("country", "XX"),), frozenset())
-            gazetteer = Gazetteer({}, (), {"elsewhere": bad})
+            bad = KeyEntry((Interpretation("XX"),), frozenset())
+            gazetteer = Gazetteer({}, {"": bad}, ())
         else:
             monkeypatch.setattr(resolver_module, "_step2", lambda misses, client, lookup=map: {
                 cleaned: Outcome(Category.WIKIDATA, "CA", "", False) for cleaned in misses})
